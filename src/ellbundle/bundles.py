@@ -10,10 +10,12 @@ form, so ``==`` decides isomorphism.
 The tensor product follows the Clebsch-Gordan pattern
 
     (E_r (x) L) (x) (E_s (x) M) = sum over i=1..min(r,s) of
-                                  E_{|r-s|+2i-1} (x) LM,
+                                  E_{|r-s|+2i-1} (x) LM.
 
-each ``E_r`` is self-dual, ``dim Gamma(E_r (x) L)`` is 1 when L is trivial
-and 0 otherwise, and ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers
+One kernel, :func:`clebsch_gordan`, computes every product in the package
+per twist pair: each pair of distinct twists is multiplied once.  Each
+``E_r`` is self-dual, ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0
+otherwise, and ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers
 at the bottom express the trichotomy on this curve: finite objects are sums
 of torsion line bundles, unipotent objects are sums of the ``E_r``, and
 semifinite objects are sums of ``E_r (x) L`` with ``L`` torsion.
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from fractions import Fraction
+from typing import Iterable, Mapping, TypeVar, Union
 
 from .picard import TRIVIAL, LineBundleClass
 
@@ -33,6 +36,7 @@ __all__ = [
     "ZERO",
     "UNIT",
     "atiyah",
+    "clebsch_gordan",
     "tensor_rank_indices",
     "tensor",
     "hom_dim",
@@ -69,6 +73,48 @@ class Indecomposable:
         if self.twist.is_trivial:
             return f"E[{self.rank}]"
         return f"E[{self.rank}]*{self.twist}"
+
+
+Coeff = TypeVar("Coeff", int, Fraction)
+
+
+def _by_twist(
+    items: Iterable[tuple[Indecomposable, Coeff]],
+) -> dict[LineBundleClass, dict[int, Coeff]]:
+    groups: dict[LineBundleClass, dict[int, Coeff]] = {}
+    for ind, coeff in items:
+        ranks = groups.setdefault(ind.twist, {})
+        ranks[ind.rank] = ranks.get(ind.rank, 0) + coeff
+    return groups
+
+
+def clebsch_gordan(
+    xs: Iterable[tuple[Indecomposable, Coeff]], ys: Iterable[tuple[Indecomposable, Coeff]]
+) -> dict[Indecomposable, Coeff]:
+    """Tensor product of two combinations of indecomposables.
+
+    Each side is an iterable of ``(indecomposable, coefficient)`` pairs; the
+    result maps each indecomposable of the product to its coefficient, with
+    zero coefficients dropped.  Both sides are grouped by twist first, so
+    each pair of twists is multiplied once, and the ranks of the pair are
+    combined as plain integers by the rule of :func:`tensor_rank_indices`.
+    """
+    right = _by_twist(ys)
+    products: dict[LineBundleClass, dict[int, Coeff]] = {}
+    for s, left_ranks in _by_twist(xs).items():
+        for t, right_ranks in right.items():
+            ranks = products.setdefault(s * t, {})
+            for r, a in left_ranks.items():
+                for q, b in right_ranks.items():
+                    coeff = a * b
+                    for k in range(abs(r - q) + 1, r + q, 2):
+                        ranks[k] = ranks.get(k, 0) + coeff
+    return {
+        Indecomposable(k, twist): coeff
+        for twist, ranks in products.items()
+        for k, coeff in ranks.items()
+        if coeff
+    }
 
 
 Summands = tuple[tuple[Indecomposable, int], ...]
@@ -155,13 +201,7 @@ class BundleObject:
     def __mul__(self, other: "BundleObject") -> "BundleObject":
         if not isinstance(other, BundleObject):
             return NotImplemented
-        acc: Counter[Indecomposable] = Counter()
-        for x, mx in self.summands:
-            for y, my in other.summands:
-                twist = x.twist * y.twist
-                for rank in tensor_rank_indices(x.rank, y.rank):
-                    acc[Indecomposable(rank, twist)] += mx * my
-        return BundleObject._from_counter(acc)
+        return BundleObject._from_counter(clebsch_gordan(self.summands, other.summands))
 
     def dual(self) -> "BundleObject":
         return BundleObject._from_counter({ind.dual(): mult for ind, mult in self.summands})

@@ -21,6 +21,7 @@ the inverse: `parse_object(print_canonical(x)) == x` for every normal form.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -126,6 +127,11 @@ class _Token:
 
 
 _PUNCT = set("+*~^()[],/-")
+# ASCII only: str.isdigit and str.isalnum also accept '²' (which int()
+# rejects), '٣' (which int() reads as 3) and 'ä' (no valid generator name).
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 _ATOM_EXPECTED = frozenset({"E", "L", "T<name>", "O", "Z", "INT", "'('", "'~'"})
 
@@ -140,13 +146,16 @@ def _tokenize(text: str) -> list[_Token]:
             pos += 1
             continue
         start = pos
-        if ch.isdigit():
-            while pos < size and text[pos].isdigit():
+        if ch in _DIGITS:
+            while pos < size and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(_Token("INT", text[start:pos], start))
-        elif ch.isalpha() or ch == "_":
-            while pos < size and (text[pos].isalnum() or text[pos] == "_"):
+        elif ch in _NAME_START:
+            while pos < size and text[pos] in _NAME_CHARS:
                 pos += 1
+            # A non-ASCII letter or digit glued to a name is the bad character.
+            if pos < size and text[pos].isalnum():
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
             word = text[start:pos]
             if word in ("E", "L", "O", "Z"):
                 tokens.append(_Token(word, word, start))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from .bundles import BundleObject, Indecomposable, tensor_rank_indices
+from .bundles import BundleObject, Indecomposable, clebsch_gordan
 from .picard import TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -114,15 +114,7 @@ class RingElement:
             return RingElement(tuple((ind, coeff * scalar) for ind, coeff in self.terms))
         if not isinstance(other, RingElement):
             return NotImplemented
-        acc: dict[Indecomposable, Fraction] = {}
-        for x, cx in self.terms:
-            for y, cy in other.terms:
-                coeff = cx * cy
-                twist = x.twist * y.twist
-                for rank in tensor_rank_indices(x.rank, y.rank):
-                    key = Indecomposable(rank, twist)
-                    acc[key] = acc.get(key, Fraction(0)) + coeff
-        return RingElement._from_dict(acc)
+        return RingElement._from_dict(clebsch_gordan(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -139,15 +131,15 @@ RING_ONE = RingElement(((Indecomposable(1), Fraction(1)),))
 # -- summand closures -----------------------------------------------------
 
 
-def _tensor_classes(x: Indecomposable, y: Indecomposable) -> list[Indecomposable]:
-    twist = x.twist * y.twist
-    return [Indecomposable(rank, twist) for rank in tensor_rank_indices(x.rank, y.rank)]
+def _tensor_classes(
+    xs: Iterable[Indecomposable], ys: Iterable[Indecomposable]
+) -> set[Indecomposable]:
+    """The classes of x (x) y over all x in xs and y in ys, multiplicities dropped."""
+    return set(clebsch_gordan(((x, 1) for x in xs), ((y, 1) for y in ys)))
 
 
 def _tensor_stable(classes: set[Indecomposable], gens: frozenset[Indecomposable]) -> bool:
-    return all(
-        z in classes for c in classes for g in gens for z in _tensor_classes(c, g)
-    )
+    return _tensor_classes(classes, gens) <= classes
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     current: set[Indecomposable] = set(gens)
     stable = False
     for _ in range(2, max_power + 1):
-        step = {z for c in current for g in gens for z in _tensor_classes(c, g)}
+        step = _tensor_classes(current, gens)
         fresh = step - seen
         seen |= fresh
         if not fresh and _tensor_stable(seen, gens):

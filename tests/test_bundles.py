@@ -16,6 +16,8 @@ from ellbundle import (
     tensor_rank_indices,
 )
 
+from ellbundle.bundles import clebsch_gordan
+
 from _strategies import bundle_objects, finite_objects, unipotent_objects
 
 L13 = line_class(Fraction(1, 3))
@@ -57,6 +59,25 @@ class TestTensor:
     @given(bundle_objects())
     def test_unit(self, a):
         assert UNIT * a == a
+
+    def test_kernel_sums_repeats_and_drops_zeros(self):
+        e1, e2 = Indecomposable(1), Indecomposable(2)
+        e1l, e2l = Indecomposable(1, L12), Indecomposable(2, L12)
+        assert clebsch_gordan([(e2, 1), (e2, 1)], [(e1, 3)]) == {e2: 6}
+        assert clebsch_gordan([(e2, 1), (e2l, -1)], [(e1, 1), (e1l, 1)]) == {}
+
+    @given(bundle_objects(max_rank=3), bundle_objects(max_rank=3))
+    def test_matches_per_summand_pair_expansion(self, a, b):
+        # a * a repeats twists, so the kernel's twist groups hold several ranks.
+        for left in (a, a * a):
+            expected: dict = {}
+            for x, mx in left.summands:
+                for y, my in b.summands:
+                    twist = x.twist * y.twist
+                    for rank in tensor_rank_indices(x.rank, y.rank):
+                        key = Indecomposable(rank, twist)
+                        expected[key] = expected.get(key, 0) + mx * my
+            assert left * b == BundleObject.of(expected)
 
 
 class TestDual:

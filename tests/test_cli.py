@@ -105,6 +105,12 @@ class TestErrors:
         assert out == ""
         assert "parse error" in err and "offset" in err
 
+    @pytest.mark.parametrize("text, offset", [("E[²]", 2), ("E[٣]", 2), ("Tä", 1)])
+    def test_non_ascii_input_is_parse_error(self, capsys, text, offset):
+        code, out, err = run(capsys, "rank", text)
+        assert (code, out) == (2, "")
+        assert f"parse error: unexpected character {text[offset]!r} at offset {offset}" in err
+
     def test_validation_error_exit_code(self, capsys):
         code, _, err = run(capsys, "rank", "E[0]")
         assert code == 2

@@ -75,6 +75,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("E[2]^-1")
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("E[²]", 2), ("E[٣]", 2), ("E[3٣]", 3), ("Tä", 1), ("Tgä", 2), ("Eä", 1)],
+    )
+    def test_non_ascii_digits_and_letters_rejected(self, text, offset):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert not isinstance(info.value, ExprValidationError)
+        assert info.value.offset == offset
+
 
 class TestEvaluation:
     def test_precedence_tensor_over_sum(self):

@@ -38,6 +38,24 @@ class TestExactRank:
         assert exact_rank([[1], [2], [3]]) == 1
 
 
+def test_oracle_does_not_call_the_clebsch_gordan_rule(monkeypatch):
+    import ellbundle.bundles
+    import ellbundle.jordan
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the rule it checks")
+
+    for module in (ellbundle.bundles, ellbundle.jordan):
+        for name in ("clebsch_gordan", "tensor_rank_indices"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    jordan_tensor.cache_clear()
+    assert jordan_tensor(4, 3) == (6, 4, 2)
+    a = ProductObject.of(5, [(1, 2), (3, 3)])
+    b = ProductObject.of(5, [(4, 2)])
+    expected = ProductObject.of(5, [(0, 3), (0, 1), (2, 4), (2, 2)])
+    assert product_tensor(a, b) == expected
+
+
 class TestJordanTensor:
     def test_two_by_two(self):
         # frozen from the rank oracle; equals the classical split 4 = 3 + 1

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from ellbundle import (
     RING_ONE,
@@ -16,6 +16,7 @@ from ellbundle import (
     line_class,
     summand_closure,
     tannakian_label,
+    tensor_rank_indices,
 )
 from ellbundle.kring import (
     ALL_RANKS,
@@ -32,11 +33,17 @@ from ellbundle.kring import (
     UNIT_ONLY,
 )
 
-from _strategies import ring_elements
+from _strategies import bundle_objects, ring_elements
 
 L12 = line_class(Fraction(1, 2))
 L13 = line_class(Fraction(1, 3))
 L14 = line_class(Fraction(1, 4))
+
+
+def pair_products(x, y):
+    """The classes of x (x) y, one summand pair at a time."""
+    twist = x.twist * y.twist
+    return [Indecomposable(rank, twist) for rank in tensor_rank_indices(x.rank, y.rank)]
 
 
 def basis(r, twist=TRIVIAL):
@@ -85,6 +92,22 @@ class TestRingOperations:
     def test_distributive(self, a, b, c):
         assert a * (b + c) == a * b + a * c
 
+    @given(ring_elements(), ring_elements())
+    def test_mul_matches_per_term_pair_expansion(self, a, b):
+        # a * a repeats twists, so the kernel's twist groups hold several ranks.
+        for left in (a, a * a):
+            expected: dict = {}
+            for x, cx in left.terms:
+                for y, cy in b.terms:
+                    for key in pair_products(x, y):
+                        expected[key] = expected.get(key, Fraction(0)) + cx * cy
+            assert left * b == RingElement.of(expected)
+
+    def test_terms_cancel_within_a_twist_group(self):
+        line = basis(1, L12)
+        assert (RING_ONE - line) * (RING_ONE + line) == RING_ZERO
+        assert (basis(2) - line) * (basis(2) + line) == basis(3)
+
     @given(ring_elements())
     def test_unit_and_zero(self, a):
         assert RING_ONE * a == a
@@ -127,6 +150,17 @@ class TestSummandClosure:
         assert small.stabilized
         assert small.classes == large.classes
         assert large.stabilized
+
+    @given(bundle_objects(max_rank=3, max_summands=2), st.integers(1, 6))
+    def test_matches_per_pair_set_enumeration(self, obj, max_power):
+        gens = obj.classes()
+        seen, current = set(gens), set(gens)
+        for _ in range(2, max_power + 1):
+            current = {z for c in current for g in gens for z in pair_products(c, g)}
+            seen |= current
+        stable = all(z in seen for c in seen for g in gens for z in pair_products(c, g))
+        closure = summand_closure(obj, max_power)
+        assert (closure.classes, closure.stabilized) == (seen, stable)
 
     def test_zero_object(self):
         closure = summand_closure(ZERO, 3)
