@@ -5,7 +5,9 @@ bundle (the unique indecomposable of rank r and degree 0 with a nonzero
 global section, built by iterated self-extensions of the trivial bundle)
 twisted by a degree-0 line bundle class.  A general object is a finite
 multiset of indecomposables; keeping the multiset sorted makes it a normal
-form, so ``==`` decides isomorphism.
+form, so ``==`` decides isomorphism.  The ring elements of
+:mod:`ellbundle.kring` share that normal form, with nonzero fractions in
+place of multiplicities; :class:`_Combination` holds it for both.
 
 The tensor product follows the Clebsch-Gordan pattern
 
@@ -23,9 +25,9 @@ semifinite objects are sums of ``E_r (x) L`` with ``L`` torsion.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, TypeVar, Union
 
 from .picard import TRIVIAL, LineBundleClass
@@ -60,7 +62,7 @@ class Indecomposable:
     twist: LineBundleClass = TRIVIAL
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:
             raise ValueError("rank must be a positive integer")
 
     def dual(self) -> "Indecomposable":
@@ -117,62 +119,86 @@ def clebsch_gordan(
     }
 
 
-Summands = tuple[tuple[Indecomposable, int], ...]
+class _Combination:
+    """Indecomposables with coefficients, strictly sorted by ``sort_key`` and
+    with no zero coefficient, so ``==`` decides equality.
+
+    A subclass is a frozen dataclass with one field of pairs, read through
+    ``_pairs``; ``_coerce`` converts a coefficient given to :meth:`of` and
+    ``_valid`` accepts a stored one.
+    """
+
+    def __post_init__(self) -> None:
+        keys = [ind.sort_key() for ind, _ in self._pairs]
+        if keys != sorted(keys) or len(set(keys)) != len(keys):
+            raise ValueError(f"{fields(self)[0].name} must be strictly sorted")
+        if not all(self._valid(coeff) for _, coeff in self._pairs):
+            raise ValueError(f"invalid coefficient in {fields(self)[0].name}")
+
+    @classmethod
+    def of(
+        cls,
+        items: Union[
+            Mapping[Indecomposable, Coeff],
+            Iterable[Union[Indecomposable, tuple[Indecomposable, Coeff]]],
+        ] = (),
+    ):
+        """The normal form of a mapping or of pairs; a bare indecomposable counts 1."""
+        acc: dict = {}
+        for item in items.items() if isinstance(items, Mapping) else items:
+            ind, coeff = (item, 1) if isinstance(item, Indecomposable) else item
+            acc[ind] = acc.get(ind, 0) + cls._coerce(coeff)
+        return cls._from_map(acc)
+
+    @classmethod
+    def _from_map(cls, acc: Mapping[Indecomposable, Coeff]):
+        return cls(
+            tuple(
+                sorted(
+                    ((ind, coeff) for ind, coeff in acc.items() if coeff),
+                    key=lambda pair: pair[0].sort_key(),
+                )
+            )
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._pairs
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        acc = dict(self._pairs)
+        for ind, coeff in other._pairs:
+            acc[ind] = acc.get(ind, 0) + coeff
+        return self._from_map(acc)
+
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._from_map(clebsch_gordan(self._pairs, other._pairs))
 
 
 @dataclass(frozen=True)
-class BundleObject:
+class BundleObject(_Combination):
     """A direct sum of indecomposables in canonical (sorted multiset) form.
 
     The empty multiset is the zero object; ``+`` is direct sum, ``*`` is the
     tensor product and ``n * obj`` an n-fold direct sum.
     """
 
-    summands: Summands = ()
+    summands: tuple[tuple[Indecomposable, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        keys = [ind.sort_key() for ind, _ in self.summands]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise ValueError("summands must be strictly sorted")
-        if any(mult < 1 for _, mult in self.summands):
-            raise ValueError("multiplicities must be positive")
+    _pairs = property(attrgetter("summands"))
+    _valid = staticmethod(lambda mult: type(mult) is int and mult > 0)
 
-    @classmethod
-    def of(
-        cls,
-        items: Union[
-            Mapping[Indecomposable, int],
-            Iterable[Union[Indecomposable, tuple[Indecomposable, int]]],
-        ] = (),
-    ) -> "BundleObject":
-        acc: Counter[Indecomposable] = Counter()
-        pairs = items.items() if isinstance(items, Mapping) else items
-        for item in pairs:
-            if isinstance(item, Indecomposable):
-                acc[item] += 1
-            else:
-                ind, mult = item
-                if mult < 0:
-                    raise ValueError("multiplicities must be nonnegative")
-                acc[ind] += mult
-        return cls._from_counter(acc)
-
-    @classmethod
-    def _from_counter(cls, acc: Mapping[Indecomposable, int]) -> "BundleObject":
-        return cls(
-            tuple(
-                sorted(
-                    ((ind, mult) for ind, mult in acc.items() if mult),
-                    key=lambda pair: pair[0].sort_key(),
-                )
-            )
-        )
+    @staticmethod
+    def _coerce(mult: int) -> int:
+        if type(mult) is not int or mult < 0:
+            raise ValueError("multiplicities must be nonnegative integers")
+        return mult
 
     # -- structure ----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.summands
 
     def classes(self) -> frozenset[Indecomposable]:
         return frozenset(ind for ind, _ in self.summands)
@@ -183,13 +209,13 @@ class BundleObject:
                 return mult
         return 0
 
+    # Own bindings, not inherited ones: bench/tracer.py wraps these by name
+    # and would otherwise wrap the base methods that RingElement calls too.
     def __add__(self, other: "BundleObject") -> "BundleObject":
-        if not isinstance(other, BundleObject):
-            return NotImplemented
-        acc = Counter(dict(self.summands))
-        for ind, mult in other.summands:
-            acc[ind] += mult
-        return BundleObject._from_counter(acc)
+        return super().__add__(other)
+
+    def __mul__(self, other: "BundleObject") -> "BundleObject":
+        return super().__mul__(other)
 
     def __rmul__(self, count: int) -> "BundleObject":
         if not isinstance(count, int):
@@ -198,13 +224,8 @@ class BundleObject:
             raise ValueError("multiplicities must be nonnegative")
         return BundleObject(tuple((ind, mult * count) for ind, mult in self.summands) if count else ())
 
-    def __mul__(self, other: "BundleObject") -> "BundleObject":
-        if not isinstance(other, BundleObject):
-            return NotImplemented
-        return BundleObject._from_counter(clebsch_gordan(self.summands, other.summands))
-
     def dual(self) -> "BundleObject":
-        return BundleObject._from_counter({ind.dual(): mult for ind, mult in self.summands})
+        return BundleObject._from_map({ind.dual(): mult for ind, mult in self.summands})
 
     # -- numerical invariants ------------------------------------------
 
@@ -240,10 +261,9 @@ class BundleObject:
 
     def jh_factors(self) -> "BundleObject":
         """Semisimplification: E_r (x) L filters with r quotients equal to L."""
-        acc: Counter[Indecomposable] = Counter()
-        for ind, mult in self.summands:
-            acc[Indecomposable(1, ind.twist)] += ind.rank * mult
-        return BundleObject._from_counter(acc)
+        return BundleObject.of(
+            (Indecomposable(1, ind.twist), ind.rank * mult) for ind, mult in self.summands
+        )
 
     def __str__(self) -> str:
         if not self.summands:

@@ -218,6 +218,8 @@ def _dispatch(verb: str, texts: list[str], args: argparse.Namespace) -> tuple[in
     if verb == "oracle-check":
         if args.modulus is None:
             raise _UsageError("oracle-check requires --modulus")
+        if args.modulus < 1:
+            raise _UsageError("--modulus must be at least 1")
         modulus = args.modulus
         lhs = phi_transport(objects[0] * objects[1], modulus)
         rhs = product_tensor(
@@ -253,7 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable --file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ArithmeticError) as exc:

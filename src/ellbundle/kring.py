@@ -1,12 +1,14 @@
 """The rational representation ring on the indecomposable-bundle basis.
 
 Ring elements are finite rational linear combinations of indecomposables;
-addition models direct sum, multiplication the tensor product.  The module
-also enumerates summand closures S(E) (all indecomposable summands of all
-tensor powers of an object), knows the closed forms of those closures in
-the cases where a closed form exists, classifies the Krull dimension of the
-generated subring, and labels the Tannakian group of the category generated
-by a single indecomposable.
+addition models direct sum, multiplication the tensor product.  They share
+the normal form of :class:`~ellbundle.bundles.BundleObject` through one
+base class, with nonzero fractions where objects have positive
+multiplicities.  The module also enumerates summand closures S(E) (all
+indecomposable summands of all tensor powers of an object), knows the
+closed forms of those closures in the cases where a closed form exists,
+classifies the Krull dimension of the generated subring, and labels the
+Tannakian group of the category generated by a single indecomposable.
 
 Two conventions extend the classical statements and are deliberate:
 
@@ -19,13 +21,13 @@ Two conventions extend the classical statements and are deliberate:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from operator import attrgetter
+from typing import Iterable, Optional, Union
 
-from .bundles import BundleObject, Indecomposable, clebsch_gordan
+from .bundles import BundleObject, Indecomposable, _Combination, clebsch_gordan
 from .picard import TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -41,62 +43,25 @@ __all__ = [
     "tannakian_label",
 ]
 
-Terms = tuple[tuple[Indecomposable, Fraction], ...]
-
 
 @dataclass(frozen=True)
-class RingElement:
+class RingElement(_Combination):
     """A finite rational combination of indecomposable bundle classes."""
 
-    terms: Terms = ()
+    terms: tuple[tuple[Indecomposable, Fraction], ...] = ()
 
-    def __post_init__(self) -> None:
-        keys = [ind.sort_key() for ind, _ in self.terms]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise ValueError("terms must be strictly sorted")
-        if any(not isinstance(c, Fraction) or not c for _, c in self.terms):
-            raise ValueError("coefficients must be nonzero fractions")
+    _pairs = property(attrgetter("terms"))
+    _valid = staticmethod(lambda coeff: type(coeff) is Fraction and coeff != 0)
 
-    @classmethod
-    def of(
-        cls,
-        items: Union[
-            Mapping[Indecomposable, Union[int, Fraction]],
-            Iterable[tuple[Indecomposable, Union[int, Fraction]]],
-        ],
-    ) -> "RingElement":
-        acc: dict[Indecomposable, Fraction] = {}
-        pairs = items.items() if isinstance(items, Mapping) else items
-        for ind, coeff in pairs:
-            acc[ind] = acc.get(ind, Fraction(0)) + Fraction(coeff)
-        return cls._from_dict(acc)
+    @staticmethod
+    def _coerce(coeff: Union[int, Fraction]) -> Fraction:
+        if type(coeff) is not int and type(coeff) is not Fraction:
+            raise TypeError(f"ring coefficients must be int or Fraction, not {type(coeff).__name__}")
+        return Fraction(coeff)
 
     @classmethod
     def from_object(cls, obj: BundleObject) -> "RingElement":
-        return cls.of({ind: Fraction(mult) for ind, mult in obj.summands})
-
-    @classmethod
-    def _from_dict(cls, acc: Mapping[Indecomposable, Fraction]) -> "RingElement":
-        return cls(
-            tuple(
-                sorted(
-                    ((ind, coeff) for ind, coeff in acc.items() if coeff),
-                    key=lambda pair: pair[0].sort_key(),
-                )
-            )
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        acc = dict(self.terms)
-        for ind, coeff in other.terms:
-            acc[ind] = acc.get(ind, Fraction(0)) + coeff
-        return RingElement._from_dict(acc)
+        return cls.of(obj.summands)
 
     def __neg__(self) -> "RingElement":
         return RingElement(tuple((ind, -coeff) for ind, coeff in self.terms))
@@ -112,9 +77,7 @@ class RingElement:
             if not scalar:
                 return RING_ZERO
             return RingElement(tuple((ind, coeff * scalar) for ind, coeff in self.terms))
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return RingElement._from_dict(clebsch_gordan(self.terms, other.terms))
+        return super().__mul__(other)
 
     __rmul__ = __mul__
 

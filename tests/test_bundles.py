@@ -259,3 +259,11 @@ def test_invalid_construction():
         BundleObject.of([(Indecomposable(1), -1)])
     with pytest.raises(ValueError):
         (-2) * E(1)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError):
+            Indecomposable(bad)
+    for bad in (1.5, 2.0, Fraction(3, 2), True):
+        with pytest.raises(ValueError):
+            BundleObject.of([(Indecomposable(2), bad)])
+        with pytest.raises(ValueError):
+            BundleObject(((Indecomposable(2), bad),))

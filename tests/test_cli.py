@@ -145,6 +145,19 @@ class TestErrors:
         code, _, err = run(capsys, "rank", "--file", "/nonexistent/path")
         assert code == 2
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "exprs.txt"
+        path.write_bytes(b"E[2]\xff\n")
+        code, out, err = run(capsys, "rank", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert "usage error" in err and "can't decode" in err
+
+    @pytest.mark.parametrize("modulus", ["0", "-3"])
+    def test_modulus_below_one(self, capsys, modulus):
+        code, out, err = run(capsys, "oracle-check", "E[2]", "E[1]", "--modulus", modulus)
+        assert (code, out) == (2, "")
+        assert "--modulus must be at least 1" in err
+
 
 class TestFileInput:
     def test_expressions_from_file(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,35 @@ class TestRingOperations:
         assert RING_ONE * a == a
         assert RING_ZERO * a == RING_ZERO
         assert a - a == RING_ZERO
+
+    @pytest.mark.parametrize("coeff", [0.5, "1/3", 1e-300, True])
+    def test_inexact_coefficients_are_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            RingElement.of({Indecomposable(1): coeff})
+        with pytest.raises(ValueError):
+            RingElement(((Indecomposable(1), coeff),))
+
+
+class TestFromObject:
+    @given(bundle_objects(), bundle_objects())
+    def test_preserves_sums_and_products(self, a, b):
+        ring = RingElement.from_object
+        assert ring(a + b) == ring(a) + ring(b)
+        assert ring(a * b) == ring(a) * ring(b)
+
+    @given(bundle_objects())
+    def test_object_never_equals_its_ring_element(self, a):
+        element = RingElement.from_object(a)
+        assert element.terms == a.summands
+        assert a != element and element != a
+
+    @given(bundle_objects(), ring_elements())
+    def test_objects_and_ring_elements_do_not_mix(self, a, x):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, x)
+            with pytest.raises(TypeError):
+                op(x, a)
 
 
 class TestSummandClosure:
