@@ -218,7 +218,7 @@ class BundleObject(_Combination):
         return super().__mul__(other)
 
     def __rmul__(self, count: int) -> "BundleObject":
-        if not isinstance(count, int):
+        if type(count) is not int:
             return NotImplemented
         if count < 0:
             raise ValueError("multiplicities must be nonnegative")

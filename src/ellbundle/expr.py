@@ -2,7 +2,8 @@
 
     expr   := term ('+' term)*
     term   := factor ('*' factor)*
-    factor := '~' factor | INT '*' factor | atom ('^' INT)? | '(' expr ')'
+    factor := '~' factor | INT '*' factor | atom ('^' INT)?
+            | '(' expr ')' ('^' INT)?
     atom   := 'E' '[' INT ']' | 'L' '[' frac ',' frac ']' | 'T' IDENT
             | 'O' | 'Z'
     frac   := '-'? INT ('/' INT)?
@@ -230,8 +231,8 @@ class _Parser:
             self.take("'('")
             node = self.expr()
             self.take("')'")
-            return node
-        node = self.atom()
+        else:
+            node = self.atom()
         if self.peek().kind == "'^'":
             self.take("'^'")
             power = self.take("INT")

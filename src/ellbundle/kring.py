@@ -72,7 +72,7 @@ class RingElement(_Combination):
         return self + (-other)
 
     def __mul__(self, other) -> "RingElement":
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             scalar = Fraction(other)
             if not scalar:
                 return RING_ZERO

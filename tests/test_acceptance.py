@@ -122,7 +122,7 @@ def random_ring_element(rng):
 
 @criterion(1, "Atiyah-Jordan oracle equivalence")
 def test_criterion_1_jordan_oracle_matches_index_rule():
-    for r in range(1, 9):
+    for r in range(1, 13):
         for s in range(1, r + 1):
             assert jordan_tensor(r, s) == atiyah_partition(r, s), (r, s)
 

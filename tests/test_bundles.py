@@ -267,3 +267,11 @@ def test_invalid_construction():
             BundleObject.of([(Indecomposable(2), bad)])
         with pytest.raises(ValueError):
             BundleObject(((Indecomposable(2), bad),))
+
+
+@pytest.mark.parametrize("count", [True, False, 2.0, Fraction(2)])
+def test_non_int_direct_sum_count_is_rejected(count):
+    with pytest.raises(TypeError):
+        count * E(2)
+    with pytest.raises(TypeError):
+        E(2) * count

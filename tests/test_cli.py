@@ -72,6 +72,15 @@ class TestVerbs:
         assert code == 0
         assert out.startswith("ok: mod 5:")
 
+    def test_oracle_check_large_blocks(self, capsys):
+        code, out, _ = run(capsys, "oracle-check", "E[16]", "E[16]", "--modulus", "1")
+        assert code == 0
+        assert out.startswith("ok: mod 1:")
+
+    def test_rank_of_power_of_a_sum(self, capsys):
+        text = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6"
+        assert run(capsys, "rank", text)[:2] == (0, "46656\n")
+
 
 class TestStructuredOutput:
     def test_tensor_record(self, capsys):

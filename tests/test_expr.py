@@ -15,7 +15,7 @@ from ellbundle import (
     parse_object,
     print_canonical,
 )
-from ellbundle.expr import Dual, ENode, LNode, Mult, Pow, Sum, Tensor, TNode
+from ellbundle.expr import Dual, ENode, LNode, Mult, ONode, Pow, Sum, Tensor, TNode
 
 from _strategies import bundle_objects
 
@@ -35,6 +35,13 @@ class TestParseTrees:
 
     def test_power_and_generator(self):
         assert parse("Tg^3") == Pow(TNode("g"), 3)
+
+    def test_power_of_parenthesised_expression(self):
+        assert parse("(E[2] + O)^3") == Pow(Sum(ENode(2), ONode()), 3)
+
+    def test_dual_of_parenthesised_power(self):
+        tree = parse("~(E[2]*Ta)^2")
+        assert tree == Dual(Pow(Tensor(ENode(2), TNode("a")), 2))
 
     def test_left_associativity(self):
         tree = parse("E[1] + E[2] + E[3]")
@@ -99,6 +106,13 @@ class TestEvaluation:
         assert parse_object("E[2]^0") == UNIT
         assert parse_object("E[2]^2") == parse_object("E[1] + E[3]")
         assert parse_object("Z^0") == UNIT
+
+    def test_power_of_a_sum(self):
+        big = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)"
+        assert parse_object(big + "^6") == parse_object("*".join([big] * 6))
+        assert parse_object("(E[2] + O)^0") == UNIT
+        assert parse_object("~(E[2]*Ta)^2") == parse_object("(E[2]*Ta)^2").dual()
+        assert parse_object("~(E[2]*Ta)^2") != parse_object("(E[2]*Ta)^2")
 
     def test_zero_multiplicity(self):
         assert parse_object("0*E[2]") == ZERO

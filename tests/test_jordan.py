@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,71 @@ from ellbundle import (
     phi_transport,
     product_tensor,
 )
+from ellbundle.jordan import _nilpotent_columns
+
+
+def fraction_rank(rows):
+    """Rank by textbook Gaussian elimination over Fraction."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        for i in range(rank + 1, len(work)):
+            if work[i][col]:
+                f = Fraction(work[i][col]) / top[col]
+                work[i] = [x - f * y for x, y in zip(work[i], top)]
+        rank += 1
+    return rank
+
+
+def dense_nilpotent(r, s):
+    """T = J_r (x) J_s - I as a dense Kronecker product, row i = (i // s, i % s)."""
+
+    def block(n):
+        return [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+
+    a, b, n = block(r), block(s), r * s
+    return [
+        [a[i // s][j // s] * b[i % s][j % s] - (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def dense_rank_profile(r, s):
+    """Jordan type of J_r (x) J_s from ranks of powers of the dense Kronecker T."""
+    t = dense_nilpotent(r, s)
+    t_columns = list(zip(*t))
+    ranks, power = [r * s], t
+    while ranks[-1]:
+        ranks.append(fraction_rank(power))
+        power = [[sum(map(mul, row, col)) for col in t_columns] for row in power]
+    # ranks[k-1] - ranks[k] blocks have size at least k
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return tuple(sum(1 for d in at_least if d > i) for i in range(at_least[0]))
+
+
+entries = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
 
 
 class TestExactRank:
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda cols: st.lists(
+                st.one_of(
+                    st.lists(entries, min_size=cols, max_size=cols),
+                    st.just([0] * cols),
+                ),
+                max_size=7,
+            )
+        )
+    )
+    def test_matches_fraction_elimination(self, rows):
+        assert exact_rank(rows) == fraction_rank(rows)
+
     def test_identity(self):
         assert exact_rank([[1, 0], [0, 1]]) == 2
 
@@ -84,6 +147,31 @@ class TestJordanTensor:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             jordan_tensor(0, 3)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("args", [(2.0, 3), (2, 3.0), (True, 3), (3, False), ("2", 3)])
+    def test_non_int_sizes_rejected_on_every_call(self, warm, args):
+        jordan_tensor.cache_clear()
+        if warm:
+            jordan_tensor(2, 3), jordan_tensor(1, 3), jordan_tensor(3, 1)
+        with pytest.raises(TypeError):
+            jordan_tensor(*args)
+
+    def test_sparse_columns_are_the_kronecker_product_minus_identity(self):
+        # N (x) I + I (x) N has the same Jordan type as (I + N) (x) (I + N) - I
+        # in characteristic 0, so no partition can catch a lost N (x) N term.
+        for r in range(1, 6):
+            for s in range(1, 6):
+                dense_columns = [list(col) for col in zip(*dense_nilpotent(r, s))]
+                sparse = [
+                    [int(i in col) for i in range(r * s)] for col in _nilpotent_columns(r, s)
+                ]
+                assert sparse == dense_columns, (r, s)
+
+    def test_matches_dense_kronecker_rank_profile(self):
+        for r in range(1, 7):
+            for s in range(1, 7):
+                assert jordan_tensor(r, s) == dense_rank_profile(r, s), (r, s)
 
 
 class TestProductObject:

@@ -122,6 +122,14 @@ class TestRingOperations:
         with pytest.raises(ValueError):
             RingElement(((Indecomposable(1), coeff),))
 
+    @pytest.mark.parametrize("scalar", [True, False, 0.5])
+    def test_non_exact_scalars_are_rejected(self, scalar):
+        element = RingElement.of({Indecomposable(2): 3})
+        with pytest.raises(TypeError):
+            element * scalar
+        with pytest.raises(TypeError):
+            scalar * element
+
 
 class TestFromObject:
     @given(bundle_objects(), bundle_objects())
