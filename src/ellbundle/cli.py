@@ -7,7 +7,8 @@ no decimal forms are accepted or produced.
 
 Exit codes: 0 success, 1 failed oracle check, 2 bad usage or expression
 syntax/validation error, 3 domain error (zero object where a generator is
-needed, twist outside the oracle's cyclic subgroup, and the like).
+needed, twist outside the oracle's cyclic subgroup, and the like) or an
+expression nested or chained deeper than the recursion limit.
 """
 
 from __future__ import annotations
@@ -30,22 +31,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-_VERBS = {
-    "normalize": (1, "canonical normal form of an expression"),
-    "tensor": (2, "tensor product of two objects"),
-    "dual": (1, "dual object"),
-    "rank": (1, "total rank"),
-    "det": (1, "determinant line bundle class"),
-    "hom": (2, "dimension of the Hom space"),
-    "gamma": (1, "dimension of the space of global sections"),
-    "jh": (1, "Jordan-Holder factors (semisimplification)"),
-    "classify": (1, "finite / semifinite / unipotent flags"),
-    "summands": (1, "indecomposable summands of tensor powers"),
-    "closedform": (1, "closed form of the summand closure, if known"),
-    "group": (1, "Tannakian group label of a single indecomposable"),
-    "ringdim": (1, "Krull dimension class of the generated subring"),
-    "oracle-check": (2, "compare the tensor against the linear-algebra oracle"),
-}
+Result = tuple[int, dict, str]  # (exit code, record fields, plain text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,14 +51,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact calculator for degree-0 vector bundles on an elliptic curve.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-    for verb, (_, help_text) in _VERBS.items():
+    for verb, (_, help_text, _) in _VERBS.items():
         verb_parser = sub.add_parser(verb, parents=[common], help=help_text)
         verb_parser.add_argument("exprs", nargs="*", metavar="EXPR")
     return parser
 
 
 def _collect_expressions(args: argparse.Namespace) -> list[str]:
-    arity, _ = _VERBS[args.verb]
+    arity = _VERBS[args.verb][0]
     if args.file is not None:
         if args.exprs:
             raise _UsageError("give expressions either as arguments or via --file, not both")
@@ -105,11 +91,6 @@ def _summand_records(obj: BundleObject) -> list[dict]:
     ]
 
 
-def _class_records(classes) -> list[dict]:
-    ordered = sorted(classes, key=lambda ind: ind.sort_key())
-    return [{"rank": ind.rank, "twist": _twist_record(ind.twist)} for ind in ordered]
-
-
 def _product_records(prod: ProductObject) -> list[dict]:
     return [
         {"char": char, "block": block, "multiplicity": mult}
@@ -120,9 +101,7 @@ def _product_records(prod: ProductObject) -> list[dict]:
 def _single_class(obj: BundleObject) -> Indecomposable:
     classes = obj.classes()
     if len(classes) != 1:
-        raise ValueError(
-            f"expected a single indecomposable class, got {len(classes)}"
-        )
+        raise ValueError(f"expected a single indecomposable class, got {len(classes)}")
     return next(iter(classes))
 
 
@@ -130,117 +109,106 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _dispatch(verb: str, texts: list[str], args: argparse.Namespace) -> tuple[int, dict, str]:
+def _object(obj: BundleObject) -> Result:
+    text = print_canonical(obj)
+    return EXIT_OK, {"text": text, "summands": _summand_records(obj)}, text
+
+
+def _value(value: int) -> Result:
+    return EXIT_OK, {"value": value}, str(value)
+
+
+def _det(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    det = objects[0].det()
+    return EXIT_OK, {"text": str(det), "line_class": _twist_record(det)}, str(det)
+
+
+def _classify(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    obj = objects[0]
+    flags = {
+        "finite": obj.is_finite, "semifinite": obj.is_semifinite, "unipotent": obj.is_unipotent
+    }
+    return EXIT_OK, flags, " ".join(f"{name}={_bool(flag)}" for name, flag in flags.items())
+
+
+def _summands(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    if args.max_power < 1:
+        raise _UsageError("--max-power must be at least 1")
+    closure = summand_closure(objects[0], args.max_power)
+    ordered = sorted(closure.classes, key=lambda ind: ind.sort_key())
+    fields = {
+        "classes": [{"rank": ind.rank, "twist": _twist_record(ind.twist)} for ind in ordered],
+        "stabilized": closure.stabilized,
+        "max_power": args.max_power,
+    }
+    lines = [str(ind) for ind in ordered] + [f"stabilized: {_bool(closure.stabilized)}"]
+    return EXIT_OK, fields, "\n".join(lines)
+
+
+def _closedform(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    form = closed_form_S(_single_class(objects[0]))
+    if form is None:
+        return EXIT_OK, {"supported": False}, "UNSUPPORTED"
+    fields = {
+        "supported": True,
+        "kind": form.kind,
+        "order": form.order,
+        "twist": _twist_record(form.twist),
+        "description": form.description(),
+    }
+    return EXIT_OK, fields, form.description()
+
+
+def _group(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    label = tannakian_label(_single_class(objects[0]))
+    return EXIT_OK, {"label": str(label), "kind": label.kind, "param": label.param}, str(label)
+
+
+def _oracle_check(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    if args.modulus is None:
+        raise _UsageError("oracle-check requires --modulus")
+    if args.modulus < 1:
+        raise _UsageError("--modulus must be at least 1")
+    modulus = args.modulus
+    lhs = phi_transport(objects[0] * objects[1], modulus)
+    rhs = product_tensor(phi_transport(objects[0], modulus), phi_transport(objects[1], modulus))
+    ok = lhs == rhs
+    fields = {"ok": ok, "modulus": modulus, "components": _product_records(lhs), "text": str(lhs)}
+    if ok:
+        return EXIT_OK, fields, f"ok: {lhs}"
+    fields["mismatch"] = str(rhs)
+    text = f"MISMATCH:\n  transported product:  {lhs}\n  product of transports: {rhs}"
+    return EXIT_CHECK_FAILED, fields, text
+
+
+# verb -> (arity, help, handler); a handler maps the parsed objects and the
+# options to a Result.
+_VERBS = {
+    "normalize": (1, "canonical normal form of an expression", lambda o, a: _object(o[0])),
+    "tensor": (2, "tensor product of two objects", lambda o, a: _object(o[0] * o[1])),
+    "dual": (1, "dual object", lambda o, a: _object(o[0].dual())),
+    "rank": (1, "total rank", lambda o, a: _value(o[0].rank())),
+    "det": (1, "determinant line bundle class", _det),
+    "hom": (2, "dimension of the Hom space", lambda o, a: _value(hom_dim(o[0], o[1]))),
+    "gamma": (1, "dimension of the space of global sections",
+              lambda o, a: _value(o[0].gamma_dim())),
+    "jh": (1, "Jordan-Holder factors (semisimplification)",
+           lambda o, a: _object(o[0].jh_factors())),
+    "classify": (1, "finite / semifinite / unipotent flags", _classify),
+    "summands": (1, "indecomposable summands of tensor powers", _summands),
+    "closedform": (1, "closed form of the summand closure, if known", _closedform),
+    "group": (1, "Tannakian group label of a single indecomposable", _group),
+    "ringdim": (1, "Krull dimension class of the generated subring",
+                lambda o, a: _value(krull_dim_class(o[0]))),
+    "oracle-check": (2, "compare the tensor against the linear-algebra oracle", _oracle_check),
+}
+
+
+def _dispatch(verb: str, texts: list[str], args: argparse.Namespace) -> Result:
     """Run a verb; returns (exit code, json record, plain text)."""
     objects = [parse_object(text) for text in texts]
-    record: dict = {"verb": verb, "inputs": texts}
-
-    if verb in ("normalize", "dual", "jh", "tensor"):
-        if verb == "normalize":
-            result = objects[0]
-        elif verb == "dual":
-            result = objects[0].dual()
-        elif verb == "jh":
-            result = objects[0].jh_factors()
-        else:
-            result = objects[0] * objects[1]
-        text = print_canonical(result)
-        record.update({"text": text, "summands": _summand_records(result)})
-        return EXIT_OK, record, text
-
-    if verb == "rank":
-        value = objects[0].rank()
-    elif verb == "gamma":
-        value = objects[0].gamma_dim()
-    elif verb == "hom":
-        value = hom_dim(objects[0], objects[1])
-    elif verb == "ringdim":
-        value = krull_dim_class(objects[0])
-    else:
-        value = None
-    if value is not None:
-        record["value"] = value
-        return EXIT_OK, record, str(value)
-
-    if verb == "det":
-        det = objects[0].det()
-        record.update({"text": str(det), "line_class": _twist_record(det)})
-        return EXIT_OK, record, str(det)
-
-    if verb == "classify":
-        obj = objects[0]
-        flags = {
-            "finite": obj.is_finite,
-            "semifinite": obj.is_semifinite,
-            "unipotent": obj.is_unipotent,
-        }
-        record.update(flags)
-        text = " ".join(f"{name}={_bool(flag)}" for name, flag in flags.items())
-        return EXIT_OK, record, text
-
-    if verb == "summands":
-        if args.max_power < 1:
-            raise _UsageError("--max-power must be at least 1")
-        closure = summand_closure(objects[0], args.max_power)
-        ordered = sorted(closure.classes, key=lambda ind: ind.sort_key())
-        record.update(
-            {
-                "classes": _class_records(closure.classes),
-                "stabilized": closure.stabilized,
-                "max_power": args.max_power,
-            }
-        )
-        lines = [str(ind) for ind in ordered]
-        lines.append(f"stabilized: {_bool(closure.stabilized)}")
-        return EXIT_OK, record, "\n".join(lines)
-
-    if verb == "closedform":
-        form = closed_form_S(_single_class(objects[0]))
-        if form is None:
-            record["supported"] = False
-            return EXIT_OK, record, "UNSUPPORTED"
-        record.update(
-            {
-                "supported": True,
-                "kind": form.kind,
-                "order": form.order,
-                "twist": _twist_record(form.twist),
-                "description": form.description(),
-            }
-        )
-        return EXIT_OK, record, form.description()
-
-    if verb == "group":
-        label = tannakian_label(_single_class(objects[0]))
-        record.update({"label": str(label), "kind": label.kind, "param": label.param})
-        return EXIT_OK, record, str(label)
-
-    if verb == "oracle-check":
-        if args.modulus is None:
-            raise _UsageError("oracle-check requires --modulus")
-        if args.modulus < 1:
-            raise _UsageError("--modulus must be at least 1")
-        modulus = args.modulus
-        lhs = phi_transport(objects[0] * objects[1], modulus)
-        rhs = product_tensor(
-            phi_transport(objects[0], modulus), phi_transport(objects[1], modulus)
-        )
-        ok = lhs == rhs
-        record.update(
-            {
-                "ok": ok,
-                "modulus": modulus,
-                "components": _product_records(lhs),
-                "text": str(lhs),
-            }
-        )
-        if ok:
-            return EXIT_OK, record, f"ok: {lhs}"
-        record["mismatch"] = str(rhs)
-        text = f"MISMATCH:\n  transported product:  {lhs}\n  product of transports: {rhs}"
-        return EXIT_CHECK_FAILED, record, text
-
-    raise AssertionError(f"unhandled verb {verb!r}")
+    code, fields, text = _VERBS[verb][2](objects, args)
+    return code, {"verb": verb, "inputs": texts, **fields}, text
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -249,15 +217,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         texts = _collect_expressions(args)
         code, record, text = _dispatch(args.verb, texts, args)
-    except _UsageError as exc:
+    except (_UsageError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable --file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable --file
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except RecursionError:  # parser and evaluator recurse once per nesting level or term
+        limit = sys.getrecursionlimit()
+        print(f"error: expression too deep or too long (recursion limit {limit})", file=sys.stderr)
+        return EXIT_DOMAIN
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

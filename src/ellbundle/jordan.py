@@ -168,6 +168,11 @@ def jordan_tensor(r: int, s: int) -> tuple[int, ...]:
 Component = tuple[int, int]  # (character mod m, block size)
 
 
+def _check_modulus(modulus: int) -> None:
+    if type(modulus) is not int or modulus < 1:
+        raise ValueError("modulus must be a positive integer")
+
+
 @dataclass(frozen=True)
 class ProductObject:
     """Multiset of (character mod m, unipotent block size) pairs."""
@@ -176,16 +181,15 @@ class ProductObject:
     components: tuple[tuple[Component, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.modulus, int) or self.modulus < 1:
-            raise ValueError("modulus must be a positive integer")
+        _check_modulus(self.modulus)
+        for (char, block), mult in self.components:
+            if type(char) is not int or not 0 <= char < self.modulus:
+                raise ValueError("characters must be integers reduced modulo the modulus")
+            if type(block) is not int or type(mult) is not int or block < 1 or mult < 1:
+                raise ValueError("block sizes and multiplicities must be positive integers")
         keys = [comp for comp, _ in self.components]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("components must be strictly sorted")
-        for (char, block), mult in self.components:
-            if not 0 <= char < self.modulus:
-                raise ValueError("character not reduced modulo the modulus")
-            if block < 1 or mult < 1:
-                raise ValueError("block sizes and multiplicities must be positive")
 
     @classmethod
     def of(
@@ -193,9 +197,13 @@ class ProductObject:
         modulus: int,
         items: Union[Mapping[Component, int], Iterable[Component]] = (),
     ) -> "ProductObject":
+        _check_modulus(modulus)
         acc: Counter[Component] = Counter()
         pairs = items.items() if isinstance(items, Mapping) else ((c, 1) for c in items)
         for (char, block), mult in pairs:
+            # Reducing or summing would turn a bool into an int unnoticed.
+            if type(char) is not int or type(mult) is not int:
+                raise ValueError("characters and multiplicities must be integers")
             acc[(char % modulus, block)] += mult
         return cls(modulus, tuple(sorted((c, m) for c, m in acc.items() if m)))
 
@@ -235,8 +243,7 @@ def phi_transport(obj: BundleObject, modulus: int) -> ProductObject:
     i.e. have second coordinate zero, no free part, and first-coordinate
     denominator dividing m; otherwise :class:`TransportError` is raised.
     """
-    if not isinstance(modulus, int) or modulus < 1:
-        raise ValueError("modulus must be a positive integer")
+    _check_modulus(modulus)
     acc: Counter[Component] = Counter()
     for ind, mult in obj.summands:
         twist = ind.twist

@@ -5,7 +5,8 @@ addition models direct sum, multiplication the tensor product.  They share
 the normal form of :class:`~ellbundle.bundles.BundleObject` through one
 base class, with nonzero fractions where objects have positive
 multiplicities.  The module also enumerates summand closures S(E) (all
-indecomposable summands of all tensor powers of an object), knows the
+indecomposable summands of all tensor powers of an object), one tensor step
+per power, stopping at the first power that adds no class; it knows the
 closed forms of those closures in the cases where a closed form exists,
 classifies the Krull dimension of the generated subring, and labels the
 Tannakian group of the category generated by a single indecomposable.
@@ -101,10 +102,6 @@ def _tensor_classes(
     return set(clebsch_gordan(((x, 1) for x in xs), ((y, 1) for y in ys)))
 
 
-def _tensor_stable(classes: set[Indecomposable], gens: frozenset[Indecomposable]) -> bool:
-    return _tensor_classes(classes, gens) <= classes
-
-
 @dataclass(frozen=True)
 class SummandClosure:
     """Indecomposable summands found among the tensor powers of an object.
@@ -122,28 +119,24 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     """Enumerate summands of obj^(x)n for 1 <= n <= max_power.
 
     Multiplicities are irrelevant for membership, so the iteration works on
-    sets of classes.  Enumeration stops early once a step adds nothing new
-    and the accumulated set is a tensor-closed fixed point.
+    the class sets S_1 = classes(obj) and S_(n+1) = S_n (x) S_1.  Every
+    coefficient is 1, so nothing cancels and (x) distributes over unions:
+    for seen = S_1 u ... u S_n, seen (x) S_1 = S_2 u ... u S_(n+1).  Hence
+    seen is tensor-closed exactly when S_(n+1) is a subset of seen.
+    Enumeration stops at the first power that adds no class, and after the
+    cutoff ``stabilized`` reports whether S_(max_power+1) adds none.
     """
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    gens = frozenset(obj.classes())
-    if not gens:
-        return SummandClosure(frozenset(), True)
-    seen: set[Indecomposable] = set(gens)
-    current: set[Indecomposable] = set(gens)
-    stable = False
-    for _ in range(2, max_power + 1):
-        step = _tensor_classes(current, gens)
-        fresh = step - seen
-        seen |= fresh
-        if not fresh and _tensor_stable(seen, gens):
-            stable = True
+    gens = obj.classes()
+    seen = set(gens)
+    step = _tensor_classes(gens, gens)
+    for _ in range(1, max_power):
+        if step <= seen:
             break
-        current = step
-    if not stable:
-        stable = _tensor_stable(seen, gens)
-    return SummandClosure(frozenset(seen), stable)
+        seen |= step
+        step = _tensor_classes(step, gens)
+    return SummandClosure(frozenset(seen), step <= seen)
 
 
 # -- closed forms ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -166,6 +167,23 @@ class TestErrors:
         code, out, err = run(capsys, "oracle-check", "E[2]", "E[1]", "--modulus", modulus)
         assert (code, out) == (2, "")
         assert "--modulus must be at least 1" in err
+
+
+    @pytest.mark.parametrize(
+        "verb, text",
+        [
+            ("rank", " + ".join(["E[2]"] * 1200)),
+            ("rank", "~" * 3000 + "E[2]"),
+            ("normalize", "(" * 2000 + "E[2]" + ")" * 2000),
+        ],
+        ids=["1200-term-sum", "3000-duals", "2000-parentheses"],
+    )
+    def test_over_deep_expression_is_refused(self, capsys, verb, text):
+        code, out, err = run(capsys, verb, text)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"recursion limit {sys.getrecursionlimit()}" in err
 
 
 class TestFileInput:

@@ -216,6 +216,41 @@ class TestProductObject:
         assert product_tensor(a, b).dim() == a.dim() * b.dim()
 
 
+    @pytest.mark.parametrize(
+        "modulus, items",
+        [
+            (5, [(0, 2.0)]),
+            (5, [(1, True)]),
+            (5, [(True, 1)]),
+            (5, {(0, 1): 1.5}),
+            (5, {(0, 1): True}),
+            (True, [(0, 1)]),
+            (5.0, [(0, 1)]),
+            (0, [(0, 1)]),
+        ],
+    )
+    def test_of_rejects_non_int_values(self, modulus, items):
+        with pytest.raises(ValueError):
+            ProductObject.of(modulus, items)
+
+    @pytest.mark.parametrize(
+        "modulus, components",
+        [
+            (True, ()),
+            (5.0, ()),
+            (5, (((0, 2.0), 1),)),
+            (5, (((0, True), 1),)),
+            (5, (((True, 2), 1),)),
+            (5, (((0.0, 2), 1),)),
+            (5, (((0, 2), 1.5),)),
+            (5, (((0, 2), True),)),
+        ],
+    )
+    def test_constructor_rejects_non_int_values(self, modulus, components):
+        with pytest.raises(ValueError):
+            ProductObject(modulus, components)
+
+
 class TestPhiTransport:
     def test_dictionary_on_generator(self):
         obj = atiyah(2, line_class(Fraction(1, 5)))
@@ -232,6 +267,11 @@ class TestPhiTransport:
     def test_order_dividing_modulus(self):
         obj = atiyah(1, line_class(Fraction(1, 2)))
         assert phi_transport(obj, 4) == ProductObject.of(4, [(2, 1)])
+
+    @pytest.mark.parametrize("modulus", [True, 2.0, Fraction(2), 0])
+    def test_rejects_non_int_modulus(self, modulus):
+        with pytest.raises(ValueError, match="modulus must be a positive integer"):
+            phi_transport(UNIT, modulus)
 
     def test_rejects_free_part(self):
         with pytest.raises(TransportError):

@@ -1,6 +1,8 @@
 import operator
 from fractions import Fraction
 
+import ellbundle.kring as kring
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -199,6 +201,30 @@ class TestSummandClosure:
         stable = all(z in seen for c in seen for g in gens for z in pair_products(c, g))
         closure = summand_closure(obj, max_power)
         assert (closure.classes, closure.stabilized) == (seen, stable)
+
+    @staticmethod
+    def left_operand_sizes(monkeypatch, obj, max_power):
+        """Size of the left operand of every kernel call summand_closure makes."""
+        sizes = []
+        kernel = kring.clebsch_gordan
+
+        def spy(xs, ys):
+            xs = list(xs)
+            sizes.append(len(xs))
+            return kernel(xs, ys)
+
+        monkeypatch.setattr(kring, "clebsch_gordan", spy)
+        summand_closure(obj, max_power)
+        return sizes
+
+    def test_one_tensor_step_per_power(self, monkeypatch):
+        # S_1 .. S_6 of E[2], the last step deciding stabilization; the
+        # accumulated set (7 classes) is never re-tensored
+        assert self.left_operand_sizes(monkeypatch, atiyah(2), 6) == [1, 2, 2, 3, 3, 4]
+
+    def test_stops_at_first_power_adding_no_class(self, monkeypatch):
+        # S_1 = {L}, S_2 = {O}, S_3 = {L}: closed after the second step
+        assert self.left_operand_sizes(monkeypatch, atiyah(1, L12), 4) == [1, 1]
 
     def test_zero_object(self):
         closure = summand_closure(ZERO, 3)
