@@ -4,87 +4,17 @@ Krull-Schmidt normal forms for semifinite bundles, the Clebsch-Gordan
 tensor rule twisted by Picard-group arithmetic, Hom and section dimensions,
 finiteness classifiers, representation-ring closures, Tannakian group
 labels, and an independent Jordan-type oracle over exact rationals.
+
+The public API is the union of the five layers' ``__all__`` lists.
 """
 
-from .bundles import (
-    UNIT,
-    ZERO,
-    BundleObject,
-    Indecomposable,
-    atiyah,
-    end_dim_projective_check,
-    hom_dim,
-    tensor,
-    tensor_rank_indices,
-)
-from .expr import (
-    ExprValidationError,
-    ParseError,
-    evaluate,
-    parse,
-    parse_object,
-    print_canonical,
-)
-from .jordan import (
-    ModulusMismatchError,
-    ProductObject,
-    TransportError,
-    exact_rank,
-    jordan_tensor,
-    phi_transport,
-    product_tensor,
-)
-from .kring import (
-    RING_ONE,
-    RING_ZERO,
-    ClosedForm,
-    RingElement,
-    SummandClosure,
-    TannakianLabel,
-    closed_form_S,
-    krull_dim_class,
-    summand_closure,
-    tannakian_label,
-)
-from .picard import INFINITE, TRIVIAL, LineBundleClass, line_class
+from . import bundles, expr, jordan, kring, picard
+from .bundles import *
+from .expr import *
+from .jordan import *
+from .kring import *
+from .picard import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleObject",
-    "ClosedForm",
-    "ExprValidationError",
-    "INFINITE",
-    "Indecomposable",
-    "LineBundleClass",
-    "ModulusMismatchError",
-    "ParseError",
-    "ProductObject",
-    "RING_ONE",
-    "RING_ZERO",
-    "RingElement",
-    "SummandClosure",
-    "TRIVIAL",
-    "TannakianLabel",
-    "TransportError",
-    "UNIT",
-    "ZERO",
-    "atiyah",
-    "closed_form_S",
-    "end_dim_projective_check",
-    "evaluate",
-    "exact_rank",
-    "hom_dim",
-    "jordan_tensor",
-    "krull_dim_class",
-    "line_class",
-    "parse",
-    "parse_object",
-    "phi_transport",
-    "print_canonical",
-    "product_tensor",
-    "summand_closure",
-    "tannakian_label",
-    "tensor",
-    "tensor_rank_indices",
-]
+__all__ = [*picard.__all__, *bundles.__all__, *kring.__all__, *jordan.__all__, *expr.__all__]

@@ -64,6 +64,8 @@ class Indecomposable:
     def __post_init__(self) -> None:
         if type(self.rank) is not int or self.rank < 1:
             raise ValueError("rank must be a positive integer")
+        if not isinstance(self.twist, LineBundleClass):
+            raise TypeError("the twist must be a LineBundleClass")
 
     def dual(self) -> "Indecomposable":
         return Indecomposable(self.rank, ~self.twist)
@@ -202,12 +204,6 @@ class BundleObject(_Combination):
 
     def classes(self) -> frozenset[Indecomposable]:
         return frozenset(ind for ind, _ in self.summands)
-
-    def multiplicity(self, ind: Indecomposable) -> int:
-        for other, mult in self.summands:
-            if other == ind:
-                return mult
-        return 0
 
     # Own bindings, not inherited ones: bench/tracer.py wraps these by name
     # and would otherwise wrap the base methods that RingElement calls too.

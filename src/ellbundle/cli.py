@@ -8,7 +8,7 @@ no decimal forms are accepted or produced.
 Exit codes: 0 success, 1 failed oracle check, 2 bad usage or expression
 syntax/validation error, 3 domain error (zero object where a generator is
 needed, twist outside the oracle's cyclic subgroup, and the like) or an
-expression nested or chained deeper than the recursion limit.
+expression nested deeper than the recursion limit.
 """
 
 from __future__ import annotations
@@ -223,9 +223,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RecursionError:  # parser and evaluator recurse once per nesting level or term
+    except RecursionError:  # parser and evaluator recurse once per nesting level
         limit = sys.getrecursionlimit()
-        print(f"error: expression too deep or too long (recursion limit {limit})", file=sys.stderr)
+        print(f"error: expression nested too deeply (recursion limit {limit})", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

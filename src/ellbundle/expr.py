@@ -22,9 +22,12 @@ the inverse: `parse_object(print_canonical(x)) == x` for every normal form.
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from typing import Union
 
 from .bundles import UNIT, ZERO, BundleObject, atiyah
@@ -76,11 +79,6 @@ class TNode:
 
 
 @dataclass(frozen=True)
-class ONode:
-    pass
-
-
-@dataclass(frozen=True)
 class ZNode:
     pass
 
@@ -104,17 +102,15 @@ class Mult:
 
 @dataclass(frozen=True)
 class Tensor:
-    left: "Expression"
-    right: "Expression"
+    args: tuple["Expression", ...]
 
 
 @dataclass(frozen=True)
 class Sum:
-    left: "Expression"
-    right: "Expression"
+    args: tuple["Expression", ...]
 
 
-Expression = Union[ENode, LNode, TNode, ONode, ZNode, Dual, Pow, Mult, Tensor, Sum]
+Expression = Union[ENode, LNode, TNode, ZNode, Dual, Pow, Mult, Tensor, Sum]
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -204,19 +200,21 @@ class _Parser:
             self.fail(frozenset({"'+'", "'*'", "END"}))
         return node
 
+    # A chain of two or more operands is one n-ary node; the loops stay
+    # inline, since a shared helper would cost stack depth per '(' level.
     def expr(self) -> Expression:
-        node = self.term()
+        args = [self.term()]
         while self.peek().kind == "'+'":
             self.take("'+'")
-            node = Sum(node, self.term())
-        return node
+            args.append(self.term())
+        return Sum(tuple(args)) if len(args) > 1 else args[0]
 
     def term(self) -> Expression:
-        node = self.factor()
+        args = [self.factor()]
         while self.peek().kind == "'*'":
             self.take("'*'")
-            node = Tensor(node, self.factor())
-        return node
+            args.append(self.factor())
+        return Tensor(tuple(args)) if len(args) > 1 else args[0]
 
     def factor(self) -> Expression:
         token = self.peek()
@@ -263,7 +261,7 @@ class _Parser:
             return TNode(token.value)
         if token.kind == "O":
             self.take("O")
-            return ONode()
+            return ENode(1)
         if token.kind == "Z":
             self.take("Z")
             return ZNode()
@@ -291,31 +289,30 @@ def parse(text: str) -> Expression:
 
 
 def evaluate(node: Expression) -> BundleObject:
-    """Evaluate a syntax tree to a bundle object in normal form."""
+    """Evaluate a syntax tree to a bundle object in normal form.
+
+    Recursion is as deep as the input's nesting: a chain is one node, a sum
+    is normalized once over all its summands, and a tensor chain is folded
+    from the left.
+    """
     if isinstance(node, ENode):
         return atiyah(node.rank)
     if isinstance(node, LNode):
         return atiyah(1, line_class(node.t1, node.t2))
     if isinstance(node, TNode):
         return atiyah(1, line_class(free={node.name: 1}))
-    if isinstance(node, ONode):
-        return UNIT
     if isinstance(node, ZNode):
         return ZERO
     if isinstance(node, Dual):
         return evaluate(node.arg).dual()
     if isinstance(node, Pow):
-        result = UNIT
-        base = evaluate(node.arg)
-        for _ in range(node.power):
-            result = result * base
-        return result
+        return reduce(operator.mul, repeat(evaluate(node.arg), node.power), UNIT)
     if isinstance(node, Mult):
         return node.count * evaluate(node.arg)
     if isinstance(node, Tensor):
-        return evaluate(node.left) * evaluate(node.right)
+        return reduce(operator.mul, map(evaluate, node.args))
     if isinstance(node, Sum):
-        return evaluate(node.left) + evaluate(node.right)
+        return BundleObject.of(pair for arg in node.args for pair in evaluate(arg).summands)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -66,7 +66,7 @@ class LineBundleClass:
         for name, exp in self.free:
             if not _GEN_NAME.match(name):
                 raise ValueError(f"invalid generator name {name!r}")
-            if not isinstance(exp, int) or exp == 0:
+            if type(exp) is not int or exp == 0:
                 raise ValueError("free exponents must be nonzero integers")
 
     @property
@@ -94,6 +94,8 @@ class LineBundleClass:
         )
 
     def __pow__(self, n: int) -> "LineBundleClass":
+        if type(n) is not int:
+            raise TypeError(f"exponents must be integers, not {type(n).__name__}")
         return LineBundleClass(
             (self.t1 * n) % 1,
             (self.t2 * n) % 1,
@@ -126,12 +128,17 @@ def line_class(
     t2: Union[int, str, Fraction] = 0,
     free: Union[Mapping[str, int], Iterable[tuple[str, int]], None] = None,
 ) -> LineBundleClass:
-    """Build a canonical class from arbitrary rational coordinates.
+    """Build a canonical class from arbitrary exact rational coordinates.
 
     Coordinates are reduced modulo 1; zero exponents are dropped from the
-    free part.  ``free`` may be a mapping or an iterable of pairs.
+    free part.  ``free`` may be a mapping or an iterable of pairs.  Floats
+    and bools are refused: a float is rarely the fraction it was meant to be.
     """
-    pairs: Iterable[tuple[str, int]] = ()
+    if isinstance(t1, (float, bool)) or isinstance(t2, (float, bool)):
+        raise TypeError("torsion coordinates must be exact (int, str or Fraction)")
+    pairs: list[tuple[str, int]] = []
     if free:
-        pairs = free.items() if isinstance(free, Mapping) else free
+        pairs = list(free.items() if isinstance(free, Mapping) else free)
+    if any(type(exp) is not int for _, exp in pairs):
+        raise TypeError("free exponents must be integers")
     return LineBundleClass(Fraction(t1) % 1, Fraction(t2) % 1, _merge_free(pairs))

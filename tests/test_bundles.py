@@ -269,6 +269,12 @@ def test_invalid_construction():
             BundleObject(((Indecomposable(2), bad),))
 
 
+@pytest.mark.parametrize("twist", [None, Fraction(1, 3), "L[1/3,0]", 1])
+def test_twist_must_be_a_line_bundle_class(twist):
+    with pytest.raises(TypeError):
+        Indecomposable(2, twist)
+
+
 @pytest.mark.parametrize("count", [True, False, 2.0, Fraction(2)])
 def test_non_int_direct_sum_count_is_rejected(count):
     with pytest.raises(TypeError):

@@ -111,3 +111,27 @@ def test_power_matches_repeated_mul(a):
     for n in range(5):
         assert a ** n == acc
         acc = acc * a
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False])
+def test_inexact_coordinates_are_refused(bad):
+    with pytest.raises(TypeError):
+        line_class(bad)
+    with pytest.raises(TypeError):
+        line_class(0, bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1)])
+def test_non_int_free_exponents_are_refused(bad):
+    with pytest.raises(TypeError):
+        line_class(free={"g": bad})
+    with pytest.raises(TypeError):
+        line_class(free=[("g", bad)])
+    with pytest.raises(ValueError):
+        LineBundleClass(free=(("g", bad),))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2)])
+def test_non_int_power_is_refused(bad):
+    with pytest.raises(TypeError):
+        line_class(Fraction(1, 3)) ** bad
