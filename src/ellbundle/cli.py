@@ -38,14 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a structured JSON record")
     common.add_argument("--file", metavar="PATH", help="read expressions from PATH, one per line")
-    common.add_argument(
-        "--max-power", type=int, default=8, metavar="N",
-        help="tensor power cutoff for summand enumeration (default 8)",
-    )
-    common.add_argument(
-        "--modulus", type=int, metavar="M",
-        help="torsion order for the oracle-check transport",
-    )
     parser = argparse.ArgumentParser(
         prog="ellbundle",
         description="Exact calculator for degree-0 vector bundles on an elliptic curve.",
@@ -54,6 +46,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, (_, help_text, _) in _VERBS.items():
         verb_parser = sub.add_parser(verb, parents=[common], help=help_text)
         verb_parser.add_argument("exprs", nargs="*", metavar="EXPR")
+    sub.choices["summands"].add_argument(
+        "--max-power", type=int, default=8, metavar="N",
+        help="tensor power cutoff for summand enumeration (default 8)",
+    )
+    sub.choices["oracle-check"].add_argument(
+        "--modulus", type=int, metavar="M",
+        help="torsion order for the oracle-check transport",
+    )
     return parser
 
 

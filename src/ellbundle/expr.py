@@ -15,20 +15,28 @@ sum, 'O' is sugar for the trivial bundle E[1] and 'Z' is the zero object.
 Atoms: E[r] is the rank-r Atiyah bundle, L[p/q,p'/q'] a torsion line bundle
 class, and T<name> a named free (non-torsion) generator of Pic^0.
 
-All numbers are exact integers or fractions.  `parse` produces a syntax
-tree; `parse_object` evaluates it to a canonical BundleObject.  Printing is
-the inverse: `parse_object(print_canonical(x)) == x` for every normal form.
+All numbers are exact integers or fractions.  `parse` returns the syntax
+tree as plain tuples; `parse_object` evaluates it to a canonical
+BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
+== x` for every normal form.
 """
+
+# Syntax tree: each node is a tuple headed by the grammar symbol that made it.
+#   ("E", rank)  ("L", t1, t2)  ("T", name)  ("Z",)      atoms; 'O' is ("E", 1)
+#   ("~", arg)   ("^", arg, power)   ("n*", count, arg)
+#   ("*", arg, arg, ...)  ("+", arg, arg, ...)           one node per chain
+# A parenthesised chain stays a nested node.  Ranks, counts and powers are
+# ints, t1 and t2 Fractions, and name a str.
 
 from __future__ import annotations
 
 import operator
 import string
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import Union
 
 from .bundles import UNIT, ZERO, BundleObject, atiyah
 from .picard import line_class
@@ -56,61 +64,8 @@ class ParseError(ValueError):
 
 
 class ExprValidationError(ParseError):
-    """Well-formed syntax carrying an invalid value (rank 0, zero denominator)."""
-
-
-# -- syntax tree -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ENode:
-    rank: int
-
-
-@dataclass(frozen=True)
-class LNode:
-    t1: Fraction
-    t2: Fraction
-
-
-@dataclass(frozen=True)
-class TNode:
-    name: str
-
-
-@dataclass(frozen=True)
-class ZNode:
-    pass
-
-
-@dataclass(frozen=True)
-class Dual:
-    arg: "Expression"
-
-
-@dataclass(frozen=True)
-class Pow:
-    arg: "Expression"
-    power: int
-
-
-@dataclass(frozen=True)
-class Mult:
-    count: int
-    arg: "Expression"
-
-
-@dataclass(frozen=True)
-class Tensor:
-    args: tuple["Expression", ...]
-
-
-@dataclass(frozen=True)
-class Sum:
-    args: tuple["Expression", ...]
-
-
-Expression = Union[ENode, LNode, TNode, ZNode, Dual, Pow, Mult, Tensor, Sum]
+    """Well-formed syntax carrying an invalid value (rank 0, zero denominator,
+    an integer literal longer than int() reads)."""
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -194,37 +149,52 @@ class _Parser:
         found = token.kind if token.kind != "END" else "end of input"
         raise ParseError(f"unexpected {found}", token.offset, expected)
 
-    def parse(self) -> Expression:
+    def parse(self) -> tuple:
         node = self.expr()
         if self.peek().kind != "END":
             self.fail(frozenset({"'+'", "'*'", "END"}))
         return node
 
+    def integer(self, minimum: int = 0, message: str = "") -> int:
+        """Read an INT token; a value below `minimum` is refused with `message`."""
+        token = self.take("INT")
+        try:
+            value = int(token.value)
+        except ValueError:  # raised only past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            raise ExprValidationError(
+                f"integer literal too long ({len(token.value)} digits, limit {limit})",
+                token.offset,
+            ) from None
+        if value < minimum:
+            raise ExprValidationError(message, token.offset)
+        return value
+
     # A chain of two or more operands is one n-ary node; the loops stay
     # inline, since a shared helper would cost stack depth per '(' level.
-    def expr(self) -> Expression:
+    def expr(self) -> tuple:
         args = [self.term()]
         while self.peek().kind == "'+'":
             self.take("'+'")
             args.append(self.term())
-        return Sum(tuple(args)) if len(args) > 1 else args[0]
+        return ("+", *args) if len(args) > 1 else args[0]
 
-    def term(self) -> Expression:
+    def term(self) -> tuple:
         args = [self.factor()]
         while self.peek().kind == "'*'":
             self.take("'*'")
             args.append(self.factor())
-        return Tensor(tuple(args)) if len(args) > 1 else args[0]
+        return ("*", *args) if len(args) > 1 else args[0]
 
-    def factor(self) -> Expression:
+    def factor(self) -> tuple:
         token = self.peek()
         if token.kind == "'~'":
             self.take("'~'")
-            return Dual(self.factor())
+            return ("~", self.factor())
         if token.kind == "INT":
-            self.take("INT")
+            count = self.integer()
             self.take("'*'")
-            return Mult(int(token.value), self.factor())
+            return ("n*", count, self.factor())
         if token.kind == "'('":
             self.take("'('")
             node = self.expr()
@@ -233,21 +203,17 @@ class _Parser:
             node = self.atom()
         if self.peek().kind == "'^'":
             self.take("'^'")
-            power = self.take("INT")
-            return Pow(node, int(power.value))
+            return ("^", node, self.integer())
         return node
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple:
         token = self.peek()
         if token.kind == "E":
             self.take("E")
             self.take("'['")
-            rank_token = self.take("INT")
-            rank = int(rank_token.value)
-            if rank < 1:
-                raise ExprValidationError("rank must be at least 1", rank_token.offset)
+            rank = self.integer(1, "rank must be at least 1")
             self.take("']'")
-            return ENode(rank)
+            return ("E", rank)
         if token.kind == "L":
             self.take("L")
             self.take("'['")
@@ -255,16 +221,16 @@ class _Parser:
             self.take("','")
             t2 = self.fraction()
             self.take("']'")
-            return LNode(t1, t2)
+            return ("L", t1, t2)
         if token.kind == "T<name>":
             self.take("T<name>")
-            return TNode(token.value)
+            return ("T", token.value)
         if token.kind == "O":
             self.take("O")
-            return ENode(1)
+            return ("E", 1)
         if token.kind == "Z":
             self.take("Z")
-            return ZNode()
+            return ("Z",)
         self.fail(_ATOM_EXPECTED)
 
     def fraction(self) -> Fraction:
@@ -272,47 +238,44 @@ class _Parser:
         if self.peek().kind == "'-'":
             self.take("'-'")
             sign = -1
-        numerator = int(self.take("INT").value)
+        numerator = self.integer()
         if self.peek().kind == "'/'":
             self.take("'/'")
-            den_token = self.take("INT")
-            denominator = int(den_token.value)
-            if denominator == 0:
-                raise ExprValidationError("zero denominator", den_token.offset)
-            return Fraction(sign * numerator, denominator)
+            return Fraction(sign * numerator, self.integer(1, "zero denominator"))
         return Fraction(sign * numerator)
 
 
-def parse(text: str) -> Expression:
-    """Parse an expression into a syntax tree (no evaluation)."""
+def parse(text: str) -> tuple:
+    """Parse an expression into a tuple syntax tree (no evaluation)."""
     return _Parser(text).parse()
 
 
-def evaluate(node: Expression) -> BundleObject:
+def evaluate(node: tuple) -> BundleObject:
     """Evaluate a syntax tree to a bundle object in normal form.
 
     Recursion is as deep as the input's nesting: a chain is one node, a sum
     is normalized once over all its summands, and a tensor chain is folded
     from the left.
     """
-    if isinstance(node, ENode):
-        return atiyah(node.rank)
-    if isinstance(node, LNode):
-        return atiyah(1, line_class(node.t1, node.t2))
-    if isinstance(node, TNode):
-        return atiyah(1, line_class(free={node.name: 1}))
-    if isinstance(node, ZNode):
+    head = node[0]
+    if head == "E":
+        return atiyah(node[1])
+    if head == "L":
+        return atiyah(1, line_class(node[1], node[2]))
+    if head == "T":
+        return atiyah(1, line_class(free={node[1]: 1}))
+    if head == "Z":
         return ZERO
-    if isinstance(node, Dual):
-        return evaluate(node.arg).dual()
-    if isinstance(node, Pow):
-        return reduce(operator.mul, repeat(evaluate(node.arg), node.power), UNIT)
-    if isinstance(node, Mult):
-        return node.count * evaluate(node.arg)
-    if isinstance(node, Tensor):
-        return reduce(operator.mul, map(evaluate, node.args))
-    if isinstance(node, Sum):
-        return BundleObject.of(pair for arg in node.args for pair in evaluate(arg).summands)
+    if head == "~":
+        return evaluate(node[1]).dual()
+    if head == "^":
+        return reduce(operator.mul, repeat(evaluate(node[1]), node[2]), UNIT)
+    if head == "n*":
+        return node[1] * evaluate(node[2])
+    if head == "*":
+        return reduce(operator.mul, map(evaluate, node[1:]))
+    if head == "+":
+        return BundleObject.of(pair for arg in node[1:] for pair in evaluate(arg).summands)
     raise TypeError(f"not an expression node: {node!r}")
 
 

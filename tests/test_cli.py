@@ -131,6 +131,23 @@ class TestErrors:
         assert code == 2
         assert "rank must be at least 1" in err
 
+    def test_too_long_integer_literal(self, capsys):
+        code, out, err = run(capsys, "rank", "E[" + "9" * 5000 + "]")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: integer literal too long (5000 digits")
+        assert "at offset 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("rank", "E[2]", "--modulus", "3"), ("dual", "E[2]", "--max-power", "2")],
+        ids=["rank-modulus", "dual-max-power"],
+    )
+    def test_option_of_another_verb_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "ringdim", "Z")
         assert code == 3

@@ -10,12 +10,12 @@ from ellbundle import (
     Indecomposable,
     ParseError,
     atiyah,
+    evaluate,
     line_class,
     parse,
     parse_object,
     print_canonical,
 )
-from ellbundle.expr import Dual, ENode, LNode, Mult, Pow, Sum, Tensor, TNode
 
 from _strategies import bundle_objects
 
@@ -25,39 +25,42 @@ L13 = line_class(Fraction(1, 3))
 class TestParseTrees:
     def test_sum_of_tensor_and_multiplicity(self):
         tree = parse("E[2]*L[1/3,0] + 2*E[1]")
-        assert tree == Sum(
-            (Tensor((ENode(2), LNode(Fraction(1, 3), Fraction(0)))), Mult(2, ENode(1)))
-        )
+        assert tree == ("+", ("*", ("E", 2), ("L", Fraction(1, 3), Fraction(0))), ("n*", 2, ("E", 1)))
 
     def test_dual_of_parenthesised_tensor(self):
         tree = parse("~(E[3]*L[1/3,0])")
-        assert tree == Dual(Tensor((ENode(3), LNode(Fraction(1, 3), Fraction(0)))))
+        assert tree == ("~", ("*", ("E", 3), ("L", Fraction(1, 3), Fraction(0))))
 
     def test_power_and_generator(self):
-        assert parse("Tg^3") == Pow(TNode("g"), 3)
+        assert parse("Tg^3") == ("^", ("T", "g"), 3)
 
     def test_power_of_parenthesised_expression(self):
-        assert parse("(E[2] + O)^3") == Pow(Sum((ENode(2), ENode(1))), 3)
+        assert parse("(E[2] + O)^3") == ("^", ("+", ("E", 2), ("E", 1)), 3)
 
     def test_dual_of_parenthesised_power(self):
         tree = parse("~(E[2]*Ta)^2")
-        assert tree == Dual(Pow(Tensor((ENode(2), TNode("a"))), 2))
+        assert tree == ("~", ("^", ("*", ("E", 2), ("T", "a")), 2))
 
     def test_left_associativity(self):
         tree = parse("E[1] + E[2] + E[3]")
-        assert tree == Sum((ENode(1), ENode(2), ENode(3)))
+        assert tree == ("+", ("E", 1), ("E", 2), ("E", 3))
 
     def test_mixed_chain(self):
         tree = parse("E[1] + E[2]*E[3]*E[4] + O")
-        assert tree == Sum((ENode(1), Tensor((ENode(2), ENode(3), ENode(4))), ENode(1)))
+        assert tree == ("+", ("E", 1), ("*", ("E", 2), ("E", 3), ("E", 4)), ("E", 1))
 
     def test_parenthesised_chain_is_not_flattened(self):
         tree = parse("(E[1]+E[2])+E[3]")
-        assert tree == Sum((Sum((ENode(1), ENode(2))), ENode(3)))
+        assert tree == ("+", ("+", ("E", 1), ("E", 2)), ("E", 3))
 
     def test_single_operand_is_bare(self):
-        assert parse("((E[2]))") == ENode(2)
-        assert parse("O") == ENode(1)
+        assert parse("((E[2]))") == ("E", 2)
+        assert parse("O") == ("E", 1)
+        assert parse("Z") == ("Z",)
+
+    def test_unknown_head_is_refused(self):
+        with pytest.raises(TypeError):
+            evaluate(("Q", 1))
 
 
 class TestParseErrors:
@@ -69,6 +72,12 @@ class TestParseErrors:
     def test_zero_denominator(self):
         with pytest.raises(ExprValidationError):
             parse("L[1/0,0]")
+
+    @pytest.mark.parametrize("text", ["E[" + "9" * 5000 + "]", "L[" + "9" * 5000 + "/3,0]"])
+    def test_too_long_integer_literal(self, text):
+        with pytest.raises(ExprValidationError) as info:
+            parse(text)
+        assert info.value.offset == 2
 
     def test_syntax_error_carries_offset_and_expected(self):
         with pytest.raises(ParseError) as info:
