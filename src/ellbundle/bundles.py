@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, TypeVar, Union
 
-from .picard import TRIVIAL, LineBundleClass
+from .picard import TRIVIAL, LineBundleClass, int_sort_keys
 
 __all__ = [
     "Indecomposable",
@@ -121,6 +121,14 @@ def clebsch_gordan(
     }
 
 
+def _int_keys(inds: list[Indecomposable]) -> list[tuple]:
+    """Keys ordered like ``Indecomposable.sort_key`` but made of ints: the
+    rank, then the twist's key from :func:`~ellbundle.picard.int_sort_keys`
+    over all the twists given."""
+    twist_keys = int_sort_keys({ind.twist for ind in inds})
+    return [(ind.rank, twist_keys[ind.twist]) for ind in inds]
+
+
 class _Combination:
     """Indecomposables with coefficients, strictly sorted by ``sort_key`` and
     with no zero coefficient, so ``==`` decides equality.
@@ -131,8 +139,8 @@ class _Combination:
     """
 
     def __post_init__(self) -> None:
-        keys = [ind.sort_key() for ind, _ in self._pairs]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        keys = _int_keys([ind for ind, _ in self._pairs])
+        if not all(k < l for k, l in zip(keys, keys[1:])):
             raise ValueError(f"{fields(self)[0].name} must be strictly sorted")
         if not all(self._valid(coeff) for _, coeff in self._pairs):
             raise ValueError(f"invalid coefficient in {fields(self)[0].name}")
@@ -154,14 +162,9 @@ class _Combination:
 
     @classmethod
     def _from_map(cls, acc: Mapping[Indecomposable, Coeff]):
-        return cls(
-            tuple(
-                sorted(
-                    ((ind, coeff) for ind, coeff in acc.items() if coeff),
-                    key=lambda pair: pair[0].sort_key(),
-                )
-            )
-        )
+        pairs = [(ind, coeff) for ind, coeff in acc.items() if coeff]
+        keyed = sorted(zip(_int_keys([ind for ind, _ in pairs]), pairs), key=itemgetter(0))
+        return cls(tuple(pair for _, pair in keyed))
 
     @property
     def is_zero(self) -> bool:

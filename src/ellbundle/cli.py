@@ -7,8 +7,9 @@ no decimal forms are accepted or produced.
 
 Exit codes: 0 success, 1 failed oracle check, 2 bad usage or expression
 syntax/validation error, 3 domain error (zero object where a generator is
-needed, twist outside the oracle's cyclic subgroup, and the like) or an
-expression nested deeper than the recursion limit.
+needed, twist outside the oracle's cyclic subgroup, and the like), an
+expression nested deeper than the recursion limit, or a result with more
+digits than Python converts to text.
 """
 
 from __future__ import annotations
@@ -217,6 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         texts = _collect_expressions(args)
         code, record, text = _dispatch(args.verb, texts, args)
+        output = json.dumps(record, sort_keys=True) if args.json else text
     except (_UsageError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable --file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -228,9 +230,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: expression nested too deeply (recursion limit {limit})", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "set_int_max_str_digits" in message:  # Python's int-to-text limit, hit by a result
+            limit = sys.get_int_max_str_digits()
+            message = f"result has more than {limit} digits (int-to-text limit {limit})"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(json.dumps(record, sort_keys=True) if args.json else text)
+    print(output)
     return code
 
 

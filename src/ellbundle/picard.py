@@ -4,8 +4,14 @@ Over an algebraically closed field of characteristic 0 the torsion part of
 the degree-0 Picard group of an elliptic curve is (Q/Z)^2.  Classes of
 infinite order are modelled formally as monomials in named free generators,
 with no relations between distinct generators.  A class is therefore a pair
-of reduced fractions in [0, 1) together with a finite exponent map, and
-structural equality is equality in the group.
+of fractions in [0, 1) together with a finite exponent map, and structural
+equality is equality in the group.
+
+The torsion pair is stored as integers over one denominator: ``(d, a, b)``
+with ``t1 = a/d``, ``t2 = b/d``, ``0 <= a, b < d`` and ``gcd(a, b, d) = 1``,
+so ``d`` is the order of the torsion part.  Products and powers are integer
+arithmetic, and equality and hashing compare int tuples; ``t1`` and ``t2``
+are still read as ``Fraction`` values.
 
 All values are immutable and canonical; operations are pure functions, so
 classes can be shared between threads without synchronisation.
@@ -15,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -43,7 +48,6 @@ def _merge_free(*parts: Iterable[tuple[str, int]]) -> FreePart:
     return tuple(sorted((n, e) for n, e in acc.items() if e))
 
 
-@dataclass(frozen=True)
 class LineBundleClass:
     """An element of Pic^0: torsion coordinates plus free generator exponents.
 
@@ -52,55 +56,83 @@ class LineBundleClass:
     canonical form; the constructor itself insists on it.
     """
 
-    t1: Fraction = Fraction(0)
-    t2: Fraction = Fraction(0)
-    free: FreePart = ()
+    # _key is (d, a, b, free) as in the module docstring; _hash is its hash.
+    __slots__ = ("_key", "_hash")
+    __match_args__ = ("t1", "t2", "free")
 
-    def __post_init__(self) -> None:
-        for t in (self.t1, self.t2):
+    def __init__(
+        self, t1: Fraction = Fraction(0), t2: Fraction = Fraction(0), free: FreePart = ()
+    ) -> None:
+        for t in (t1, t2):
             if not isinstance(t, Fraction) or not 0 <= t < 1:
                 raise ValueError(f"torsion coordinate {t!r} is not reduced into [0, 1)")
-        names = [name for name, _ in self.free]
+        names = [name for name, _ in free]
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("free part must be strictly sorted by generator name")
-        for name, exp in self.free:
+        for name, exp in free:
             if not _GEN_NAME.match(name):
                 raise ValueError(f"invalid generator name {name!r}")
             if type(exp) is not int or exp == 0:
                 raise ValueError("free exponents must be nonzero integers")
+        d = math.lcm(t1.denominator, t2.denominator)
+        a, b = t1.numerator * (d // t1.denominator), t2.numerator * (d // t2.denominator)
+        self._key = key = (d, a, b, tuple(free))
+        self._hash = hash(key)
+
+    @property
+    def t1(self) -> Fraction:
+        return Fraction(self._key[1], self._key[0])
+
+    @property
+    def t2(self) -> Fraction:
+        return Fraction(self._key[2], self._key[0])
+
+    @property
+    def free(self) -> FreePart:
+        return self._key[3]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: a stored hash of generator names
+        # is only valid in the process that computed it.
+        return LineBundleClass, (self.t1, self.t2, self.free)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.free and not self.t1 and not self.t2
+        return self._key == (1, 0, 0, ())
 
     @property
     def is_torsion(self) -> bool:
         """True iff the class has finite order (no free generators)."""
-        return not self.free
+        return not self._key[3]
 
     def order(self) -> Union[int, float]:
-        """Order in Pic^0: lcm of coordinate denominators, or INFINITE."""
-        if self.free:
-            return INFINITE
-        return math.lcm(self.t1.denominator, self.t2.denominator)
+        """Order in Pic^0: the common denominator d, or INFINITE."""
+        return INFINITE if self._key[3] else self._key[0]
 
     def __mul__(self, other: "LineBundleClass") -> "LineBundleClass":
         if not isinstance(other, LineBundleClass):
             return NotImplemented
-        return LineBundleClass(
-            (self.t1 + other.t1) % 1,
-            (self.t2 + other.t2) % 1,
-            _merge_free(self.free, other.free),
-        )
+        d1, a1, b1, f1 = self._key
+        d2, a2, b2, f2 = other._key
+        d = math.lcm(d1, d2)
+        m1, m2 = d // d1, d // d2
+        free = _merge_free(f1, f2) if f1 and f2 else f1 or f2
+        return _reduced(d, (a1 * m1 + a2 * m2) % d, (b1 * m1 + b2 * m2) % d, free)
 
     def __pow__(self, n: int) -> "LineBundleClass":
         if type(n) is not int:
             raise TypeError(f"exponents must be integers, not {type(n).__name__}")
-        return LineBundleClass(
-            (self.t1 * n) % 1,
-            (self.t2 * n) % 1,
-            tuple((name, exp * n) for name, exp in self.free) if n else (),
-        )
+        d, a, b, free = self._key
+        free = tuple((name, exp * n) for name, exp in free) if n else ()
+        return _reduced(d, a * n % d, b * n % d, free)
 
     def inverse(self) -> "LineBundleClass":
         return self ** -1
@@ -110,14 +142,43 @@ class LineBundleClass:
     def sort_key(self):
         return (self.t1, self.t2, self.free)
 
+    def __repr__(self) -> str:
+        return f"LineBundleClass(t1={self.t1!r}, t2={self.t2!r}, free={self.free!r})"
+
     def __str__(self) -> str:
         if self.is_trivial:
             return "O"
         parts = []
-        if self.t1 or self.t2:
+        if self._key[1] or self._key[2]:
             parts.append(f"L[{self.t1},{self.t2}]")
         parts.extend(_gen_factor(name, exp) for name, exp in self.free)
         return "*".join(parts)
+
+
+def _reduced(d: int, a: int, b: int, free: FreePart) -> LineBundleClass:
+    """The class (a/d, b/d, free) with 0 <= a, b < d and a canonical free part,
+    built without the constructor's checks; only d, a, b are reduced here."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        d, a, b = d // g, a // g, b // g
+    out = object.__new__(LineBundleClass)
+    out._key = key = (d, a, b, free)
+    out._hash = hash(key)
+    return out
+
+
+def int_sort_keys(classes: Iterable[LineBundleClass]) -> dict[LineBundleClass, tuple]:
+    """Map each class to an integer key that orders like its ``sort_key``.
+
+    Over the common denominator D of the classes, (a/d, b/d, free) keys as
+    (a*D/d, b*D/d, free): scaling by D keeps the order of the coordinates,
+    and comparing ints is much cheaper than comparing Fractions.
+    """
+    keys = {c: c._key for c in classes}
+    common = math.lcm(*(d for d, _, _, _ in keys.values()))
+    return {
+        c: (a * (common // d), b * (common // d), free) for c, (d, a, b, free) in keys.items()
+    }
 
 
 TRIVIAL = LineBundleClass()

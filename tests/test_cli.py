@@ -137,6 +137,18 @@ class TestErrors:
         assert err.startswith("parse error: integer literal too long (5000 digits")
         assert "at offset 2" in err
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit"
+    )
+    @pytest.mark.parametrize("verb", ["rank", "normalize"])
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_too_long_result(self, capsys, verb, mode):
+        limit = sys.get_int_max_str_digits()
+        big = "9" * limit
+        code, out, err = run(capsys, verb, f"({big}*E[1])*({big}*E[1])", *mode)
+        assert (code, out) == (3, "")
+        assert err == f"error: result has more than {limit} digits (int-to-text limit {limit})\n"
+
     @pytest.mark.parametrize(
         "argv",
         [("rank", "E[2]", "--modulus", "3"), ("dual", "E[2]", "--max-power", "2")],

@@ -1,11 +1,14 @@
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from ellbundle import INFINITE, TRIVIAL, LineBundleClass, line_class
+from ellbundle import INFINITE, TRIVIAL, BundleObject, LineBundleClass, RingElement, line_class
 
-from _strategies import line_classes
+from _strategies import free_parts, indecomposables, line_classes, torsion_coords
 
 
 def test_identity_is_trivial():
@@ -135,3 +138,103 @@ def test_non_int_free_exponents_are_refused(bad):
 def test_non_int_power_is_refused(bad):
     with pytest.raises(TypeError):
         line_class(Fraction(1, 3)) ** bad
+
+
+# -- the integer coding, against plain Fraction arithmetic --------------------
+#
+# A reference class is the triple (t1, t2, free) of the constructor's
+# arguments; these helpers are the group law on such triples.
+
+
+def ref(c):
+    return (c.t1, c.t2, c.free)
+
+
+def ref_free(*parts):
+    acc = {}
+    for part in parts:
+        for name, exp in part:
+            acc[name] = acc.get(name, 0) + exp
+    return tuple(sorted((name, exp) for name, exp in acc.items() if exp))
+
+
+def ref_mul(x, y):
+    return ((x[0] + y[0]) % 1, (x[1] + y[1]) % 1, ref_free(x[2], y[2]))
+
+
+def ref_pow(x, n):
+    return ((x[0] * n) % 1, (x[1] * n) % 1, ref_free([(name, exp * n) for name, exp in x[2]]))
+
+
+@given(torsion_coords(12), torsion_coords(12), free_parts())
+def test_coordinates_round_trip_through_constructor(t1, t2, free):
+    free = tuple(sorted(free.items()))
+    c = LineBundleClass(t1, t2, free)
+    assert ref(c) == (t1, t2, free)
+    assert type(c.t1) is Fraction and type(c.t2) is Fraction
+    assert LineBundleClass(c.t1, c.t2, c.free) == c
+    assert repr(c) == f"LineBundleClass(t1={t1!r}, t2={t2!r}, free={free!r})"
+
+
+@given(line_classes(max_order=3), line_classes(max_order=3))
+def test_eq_and_hash_agree_with_coordinates(a, b):
+    assert (a == b) == (ref(a) == ref(b))
+    assert (a != b) == (ref(a) != ref(b))
+    twin = LineBundleClass(*ref(a))
+    assert twin == a and hash(twin) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(line_classes(), line_classes(), st.integers(-13, 13))
+def test_operations_match_fraction_arithmetic(a, b, n):
+    assert ref(a * b) == ref_mul(ref(a), ref(b))
+    assert ref(a ** n) == ref_pow(ref(a), n)
+    assert ref(a ** 0) == ref(TRIVIAL)
+    assert ref(~a) == ref_pow(ref(a), -1)
+
+
+@given(line_classes(), line_classes(), st.integers(-13, 13))
+def test_results_are_canonical(a, b, n):
+    for c in (a, b, a * b, a ** n, ~a):
+        d, x, y, free = c._key
+        assert 0 <= x < d and 0 <= y < d and math.gcd(x, y, d) == 1
+        assert (Fraction(x, d), Fraction(y, d), free) == ref(c)
+        torsion_order = math.lcm(c.t1.denominator, c.t2.denominator)
+        assert c.order() == (INFINITE if free else torsion_order)
+
+
+def test_refused_coordinates_keep_their_messages():
+    with pytest.raises(ValueError, match=r"torsion coordinate Fraction\(1, 1\) is not reduced"):
+        LineBundleClass(Fraction(1))
+    with pytest.raises(ValueError, match="not reduced"):
+        LineBundleClass(Fraction(0), Fraction(-1, 2))
+    with pytest.raises(ValueError, match="not reduced"):
+        LineBundleClass(0)
+
+
+def test_classes_survive_pickling():
+    c = line_class(Fraction(1, 6), Fraction(3, 4), {"g": 2, "h": -1})
+    assert pickle.loads(pickle.dumps(c)) == c
+
+
+@given(st.lists(st.tuples(indecomposables(), st.integers(1, 3)), max_size=8))
+def test_bundle_object_order_is_sort_key_order(pairs):
+    obj = BundleObject.of(pairs)
+    expected = sorted({ind for ind, _ in pairs}, key=lambda ind: ind.sort_key())
+    assert [ind for ind, _ in obj.summands] == expected
+
+
+@given(
+    st.lists(
+        st.tuples(indecomposables(), st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(2)])),
+        max_size=8,
+    )
+)
+def test_ring_element_order_is_sort_key_order(pairs):
+    elem = RingElement.of(pairs)
+    totals = {}
+    for ind, coeff in pairs:
+        totals[ind] = totals.get(ind, 0) + coeff
+    expected = sorted((ind for ind, coeff in totals.items() if coeff), key=lambda i: i.sort_key())
+    assert [ind for ind, _ in elem.terms] == expected
