@@ -14,8 +14,12 @@ The tensor product follows the Clebsch-Gordan pattern
     (E_r (x) L) (x) (E_s (x) M) = sum over i=1..min(r,s) of
                                   E_{|r-s|+2i-1} (x) LM.
 
-One kernel, :func:`clebsch_gordan`, computes every product in the package
-per twist pair: each pair of distinct twists is multiplied once.  Each
+One kernel, ``_grouped_product``, computes every product in the package.
+It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
+pair of distinct twists is multiplied once and ranks combine as plain
+integers; normal forms are sorted straight from its groups, and
+indecomposables are built only for the result.  :func:`clebsch_gordan` is
+its public form on ``(indecomposable, coefficient)`` pairs.  Each
 ``E_r`` is self-dual, ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0
 otherwise, and ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers
 at the bottom express the trichotomy on this curve: finite objects are sums
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, TypeVar, Union
 
@@ -80,16 +85,36 @@ class Indecomposable:
 
 
 Coeff = TypeVar("Coeff", int, Fraction)
+Groups = dict[LineBundleClass, dict[int, Coeff]]
 
 
-def _by_twist(
-    items: Iterable[tuple[Indecomposable, Coeff]],
-) -> dict[LineBundleClass, dict[int, Coeff]]:
-    groups: dict[LineBundleClass, dict[int, Coeff]] = {}
+def _by_twist(items: Iterable[tuple[Indecomposable, Coeff]]) -> Groups:
+    """Group ``(indecomposable, coefficient)`` pairs as ``{twist: {rank: coeff}}``,
+    adding the coefficients of repeated classes."""
+    groups: Groups = {}
     for ind, coeff in items:
         ranks = groups.setdefault(ind.twist, {})
         ranks[ind.rank] = ranks.get(ind.rank, 0) + coeff
     return groups
+
+
+def _grouped_product(left: Groups, right: Groups) -> Groups:
+    """The Clebsch-Gordan kernel: the tensor product of two twist-grouped maps.
+
+    Each pair of twists is multiplied once, and the ranks of the pair are
+    combined as plain integers by the rule of :func:`tensor_rank_indices`.
+    Coefficients that cancel stay in the result as zeros.
+    """
+    products: Groups = {}
+    for s, left_ranks in left.items():
+        for t, right_ranks in right.items():
+            ranks = products.setdefault(s * t, {})
+            for r, a in left_ranks.items():
+                for q, b in right_ranks.items():
+                    coeff = a * b
+                    for k in range(abs(r - q) + 1, r + q, 2):
+                        ranks[k] = ranks.get(k, 0) + coeff
+    return products
 
 
 def clebsch_gordan(
@@ -99,34 +124,14 @@ def clebsch_gordan(
 
     Each side is an iterable of ``(indecomposable, coefficient)`` pairs; the
     result maps each indecomposable of the product to its coefficient, with
-    zero coefficients dropped.  Both sides are grouped by twist first, so
-    each pair of twists is multiplied once, and the ranks of the pair are
-    combined as plain integers by the rule of :func:`tensor_rank_indices`.
+    zero coefficients dropped.
     """
-    right = _by_twist(ys)
-    products: dict[LineBundleClass, dict[int, Coeff]] = {}
-    for s, left_ranks in _by_twist(xs).items():
-        for t, right_ranks in right.items():
-            ranks = products.setdefault(s * t, {})
-            for r, a in left_ranks.items():
-                for q, b in right_ranks.items():
-                    coeff = a * b
-                    for k in range(abs(r - q) + 1, r + q, 2):
-                        ranks[k] = ranks.get(k, 0) + coeff
     return {
         Indecomposable(k, twist): coeff
-        for twist, ranks in products.items()
+        for twist, ranks in _grouped_product(_by_twist(xs), _by_twist(ys)).items()
         for k, coeff in ranks.items()
         if coeff
     }
-
-
-def _int_keys(inds: list[Indecomposable]) -> list[tuple]:
-    """Keys ordered like ``Indecomposable.sort_key`` but made of ints: the
-    rank, then the twist's key from :func:`~ellbundle.picard.int_sort_keys`
-    over all the twists given."""
-    twist_keys = int_sort_keys({ind.twist for ind in inds})
-    return [(ind.rank, twist_keys[ind.twist]) for ind in inds]
 
 
 class _Combination:
@@ -135,15 +140,21 @@ class _Combination:
 
     A subclass is a frozen dataclass with one field of pairs, read through
     ``_pairs``; ``_coerce`` converts a coefficient given to :meth:`of` and
-    ``_valid`` accepts a stored one.
+    ``_valid`` accepts a stored one.  Every normal form is checked once, on
+    int keys: ``(rank, twist key)`` with the twist keys of
+    :func:`~ellbundle.picard.int_sort_keys`, which order like ``sort_key``.
     """
 
     def __post_init__(self) -> None:
-        keys = _int_keys([ind for ind, _ in self._pairs])
+        twist_keys = int_sort_keys({ind.twist for ind, _ in self._pairs})
+        self._check([(ind.rank, twist_keys[ind.twist]) for ind, _ in self._pairs], self._pairs)
+
+    @classmethod
+    def _check(cls, keys: list[tuple], pairs) -> None:
         if not all(k < l for k, l in zip(keys, keys[1:])):
-            raise ValueError(f"{fields(self)[0].name} must be strictly sorted")
-        if not all(self._valid(coeff) for _, coeff in self._pairs):
-            raise ValueError(f"invalid coefficient in {fields(self)[0].name}")
+            raise ValueError(f"{fields(cls)[0].name} must be strictly sorted")
+        if not all(cls._valid(coeff) for _, coeff in pairs):
+            raise ValueError(f"invalid coefficient in {fields(cls)[0].name}")
 
     @classmethod
     def of(
@@ -154,17 +165,34 @@ class _Combination:
         ] = (),
     ):
         """The normal form of a mapping or of pairs; a bare indecomposable counts 1."""
-        acc: dict = {}
-        for item in items.items() if isinstance(items, Mapping) else items:
-            ind, coeff = (item, 1) if isinstance(item, Indecomposable) else item
-            acc[ind] = acc.get(ind, 0) + cls._coerce(coeff)
-        return cls._from_map(acc)
+
+        def pairs():
+            for item in items.items() if isinstance(items, Mapping) else items:
+                ind, coeff = (item, 1) if isinstance(item, Indecomposable) else item
+                yield ind, cls._coerce(coeff)
+
+        return cls._from_groups(_by_twist(pairs()))
 
     @classmethod
-    def _from_map(cls, acc: Mapping[Indecomposable, Coeff]):
-        pairs = [(ind, coeff) for ind, coeff in acc.items() if coeff]
-        keyed = sorted(zip(_int_keys([ind for ind, _ in pairs]), pairs), key=itemgetter(0))
-        return cls(tuple(pair for _, pair in keyed))
+    def _from_groups(cls, groups: Groups):
+        """The normal form of a twist-grouped map; zero coefficients are dropped.
+
+        The twists are keyed once, and the checks of :meth:`__post_init__`
+        run on the same keys before the field is set.
+        """
+        twist_keys = int_sort_keys(groups)
+        rows = [
+            ((rank, twist_keys[twist]), rank, twist, coeff)
+            for twist, ranks in groups.items()
+            for rank, coeff in ranks.items()
+            if coeff
+        ]
+        rows.sort(key=itemgetter(0))
+        pairs = tuple((Indecomposable(rank, twist), coeff) for _, rank, twist, coeff in rows)
+        cls._check([row[0] for row in rows], pairs)
+        out = object.__new__(cls)
+        object.__setattr__(out, fields(cls)[0].name, pairs)
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -173,15 +201,12 @@ class _Combination:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        acc = dict(self._pairs)
-        for ind, coeff in other._pairs:
-            acc[ind] = acc.get(ind, 0) + coeff
-        return self._from_map(acc)
+        return self._from_groups(_by_twist(chain(self._pairs, other._pairs)))
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._from_map(clebsch_gordan(self._pairs, other._pairs))
+        return self._from_groups(_grouped_product(_by_twist(self._pairs), _by_twist(other._pairs)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +249,7 @@ class BundleObject(_Combination):
         return BundleObject(tuple((ind, mult * count) for ind, mult in self.summands) if count else ())
 
     def dual(self) -> "BundleObject":
-        return BundleObject._from_map({ind.dual(): mult for ind, mult in self.summands})
+        return BundleObject._from_groups({~t: ranks for t, ranks in _by_twist(self.summands).items()})
 
     # -- numerical invariants ------------------------------------------
 
@@ -291,12 +316,13 @@ def hom_dim(a: BundleObject, b: BundleObject) -> int:
     Agrees with ``(a.dual() * b).gamma_dim()``, i.e. with counting sections
     of the internal Hom.
     """
-    total = 0
-    for x, mx in a.summands:
-        for y, my in b.summands:
-            if x.twist == y.twist:
-                total += mx * my * min(x.rank, y.rank)
-    return total
+    right = _by_twist(b.summands)
+    return sum(
+        mx * my * min(r, s)
+        for twist, left_ranks in _by_twist(a.summands).items()
+        for r, mx in left_ranks.items()
+        for s, my in right.get(twist, {}).items()
+    )
 
 
 def end_dim_projective_check(rank: int) -> bool:

@@ -4,12 +4,14 @@ Ring elements are finite rational linear combinations of indecomposables;
 addition models direct sum, multiplication the tensor product.  They share
 the normal form of :class:`~ellbundle.bundles.BundleObject` through one
 base class, with nonzero fractions where objects have positive
-multiplicities.  The module also enumerates summand closures S(E) (all
-indecomposable summands of all tensor powers of an object), one tensor step
-per power, stopping at the first power that adds no class; it knows the
-closed forms of those closures in the cases where a closed form exists,
-classifies the Krull dimension of the generated subring, and labels the
-Tannakian group of the category generated by a single indecomposable.
+multiplicities; a ring product runs the twist-grouped kernel of
+:mod:`ellbundle.bundles` on integer numerators over one common denominator.
+The module also enumerates summand closures S(E) (all indecomposable
+summands of all tensor powers of an object) on per-twist rank sets, one
+kernel step per power, stopping at the first power that adds no class.  It
+knows the closed forms of those closures in the cases where a closed form
+exists, classifies the Krull dimension of the generated subring, and labels
+the Tannakian group of the category generated by a single indecomposable.
 
 Two conventions extend the classical statements and are deliberate:
 
@@ -22,13 +24,14 @@ Two conventions extend the classical statements and are deliberate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from .bundles import BundleObject, Indecomposable, _Combination, clebsch_gordan
+from .bundles import BundleObject, Groups, Indecomposable, _by_twist, _Combination, _grouped_product
 from .picard import TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -78,7 +81,17 @@ class RingElement(_Combination):
             if not scalar:
                 return RING_ZERO
             return RingElement(tuple((ind, coeff * scalar) for ind, coeff in self.terms))
-        return super().__mul__(other)
+        if not isinstance(other, RingElement):
+            return NotImplemented
+        xs, dx = _numerators(self.terms)
+        ys, dy = _numerators(other.terms)
+        den = dx * dy
+        return RingElement._from_groups(
+            {
+                twist: {k: Fraction(n, den) for k, n in ranks.items()}
+                for twist, ranks in _grouped_product(xs, ys).items()
+            }
+        )
 
     __rmul__ = __mul__
 
@@ -88,18 +101,18 @@ class RingElement(_Combination):
         return " + ".join(f"{coeff}*[{ind}]" for ind, coeff in self.terms)
 
 
+def _numerators(terms) -> tuple[Groups, int]:
+    """The terms grouped by twist as integer numerators over one denominator,
+    the lcm of the coefficients' denominators."""
+    den = math.lcm(*(coeff.denominator for _, coeff in terms))
+    return _by_twist((ind, coeff.numerator * (den // coeff.denominator)) for ind, coeff in terms), den
+
+
 RING_ZERO = RingElement()
 RING_ONE = RingElement(((Indecomposable(1), Fraction(1)),))
 
 
 # -- summand closures -----------------------------------------------------
-
-
-def _tensor_classes(
-    xs: Iterable[Indecomposable], ys: Iterable[Indecomposable]
-) -> set[Indecomposable]:
-    """The classes of x (x) y over all x in xs and y in ys, multiplicities dropped."""
-    return set(clebsch_gordan(((x, 1) for x in xs), ((y, 1) for y in ys)))
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,9 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     """Enumerate summands of obj^(x)n for 1 <= n <= max_power.
 
     Multiplicities are irrelevant for membership, so the iteration works on
-    the class sets S_1 = classes(obj) and S_(n+1) = S_n (x) S_1.  Every
-    coefficient is 1, so nothing cancels and (x) distributes over unions:
+    the class sets S_1 = classes(obj) and S_(n+1) = S_n (x) S_1, each kept as
+    ``{twist: ranks}``.  Every coefficient is reset to 1, so nothing cancels,
+    the integers stay small, and (x) distributes over unions:
     for seen = S_1 u ... u S_n, seen (x) S_1 = S_2 u ... u S_(n+1).  Hence
     seen is tensor-closed exactly when S_(n+1) is a subset of seen.
     Enumeration stops at the first power that adds no class, and after the
@@ -128,15 +142,26 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     """
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    gens = obj.classes()
-    seen = set(gens)
-    step = _tensor_classes(gens, gens)
+    gens = _classes(_by_twist(obj.summands))
+    seen = {twist: set(ranks) for twist, ranks in gens.items()}
+    step = _classes(_grouped_product(gens, gens))
     for _ in range(1, max_power):
-        if step <= seen:
+        if _within(step, seen):
             break
-        seen |= step
-        step = _tensor_classes(step, gens)
-    return SummandClosure(frozenset(seen), step <= seen)
+        for twist, ranks in step.items():
+            seen.setdefault(twist, set()).update(ranks)
+        step = _classes(_grouped_product(step, gens))
+    classes = frozenset(Indecomposable(rank, twist) for twist, ranks in seen.items() for rank in ranks)
+    return SummandClosure(classes, _within(step, seen))
+
+
+def _classes(groups: Groups) -> Groups:
+    """The classes of a grouped map, each with coefficient 1."""
+    return {twist: dict.fromkeys(ranks, 1) for twist, ranks in groups.items()}
+
+
+def _within(step: Groups, seen: dict[LineBundleClass, set[int]]) -> bool:
+    return all(twist in seen and ranks.keys() <= seen[twist] for twist, ranks in step.items())
 
 
 # -- closed forms ----------------------------------------------------------

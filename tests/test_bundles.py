@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from ellbundle import (
     TRIVIAL,
@@ -18,7 +18,7 @@ from ellbundle import (
 
 from ellbundle.bundles import clebsch_gordan
 
-from _strategies import bundle_objects, finite_objects, unipotent_objects
+from _strategies import bundle_objects, finite_objects, indecomposables, unipotent_objects
 
 L13 = line_class(Fraction(1, 3))
 L23 = line_class(Fraction(2, 3))
@@ -174,6 +174,18 @@ class TestHom:
     def test_symmetric(self, a, b):
         assert hom_dim(a, b) == hom_dim(b, a)
 
+    @given(bundle_objects(max_rank=3), bundle_objects(max_rank=3))
+    def test_matches_the_pairwise_formula(self, a, b):
+        # a + b and a * b share twists with a and b, so twist groups meet.
+        for x, y in ((a, b), (a, a + b), (a * b, b + a * b)):
+            pairwise = sum(
+                mx * my * min(u.rank, v.rank)
+                for u, mx in x.summands
+                for v, my in y.summands
+                if u.twist == v.twist
+            )
+            assert hom_dim(x, y) == pairwise
+
     @given(finite_objects(), finite_objects(), unipotent_objects(), unipotent_objects())
     def test_factorization_through_finite_and_unipotent(self, f1, f2, u1, u2):
         assert hom_dim(f1 * u1, f2 * u2) == hom_dim(f1, f2) * hom_dim(u1, u2)
@@ -250,6 +262,17 @@ def test_normal_form_is_canonical():
     b = BundleObject.of([(Indecomposable(1), 2), (Indecomposable(3, L13), 1)])
     assert a == b
     assert hash(a) == hash(b)
+
+
+@given(
+    bundle_objects(max_rank=3),
+    bundle_objects(max_rank=3),
+    st.lists(st.tuples(indecomposables(max_rank=3, max_order=3), st.integers(0, 2)), max_size=4),
+)
+def test_normal_forms_pass_the_public_constructor(a, b, pairs):
+    for x in (a * b, a * a, a + b, a.dual(), (a * b).dual() + a, BundleObject.of(pairs),
+              BundleObject.of(dict(pairs)), BundleObject.of(ind for ind, _ in pairs)):
+        assert type(x)(x._pairs) == x
 
 
 def test_invalid_construction():

@@ -36,7 +36,7 @@ from ellbundle.kring import (
     UNIT_ONLY,
 )
 
-from _strategies import bundle_objects, ring_elements
+from _strategies import bundle_objects, indecomposables, ring_elements
 
 L12 = line_class(Fraction(1, 2))
 L13 = line_class(Fraction(1, 3))
@@ -47,6 +47,13 @@ def pair_products(x, y):
     """The classes of x (x) y, one summand pair at a time."""
     twist = x.twist * y.twist
     return [Indecomposable(rank, twist) for rank in tensor_rank_indices(x.rank, y.rank)]
+
+
+def signed_ring_elements():
+    """Ring elements with mixed denominators and signs, RING_ZERO included."""
+    coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    pairs = st.tuples(indecomposables(max_rank=3, max_order=4), coeffs)
+    return st.one_of(st.just(RING_ZERO), st.lists(pairs, max_size=3).map(RingElement.of))
 
 
 def basis(r, twist=TRIVIAL):
@@ -105,6 +112,27 @@ class TestRingOperations:
                     for key in pair_products(x, y):
                         expected[key] = expected.get(key, Fraction(0)) + cx * cy
             assert left * b == RingElement.of(expected)
+
+    @given(signed_ring_elements(), signed_ring_elements())
+    def test_mul_equals_per_pair_fraction_expansion(self, a, b):
+        expected: dict = {}
+        for x, cx in a.terms:
+            for y, cy in b.terms:
+                for key in pair_products(x, y):
+                    expected[key] = expected.get(key, Fraction(0)) + cx * cy
+        terms = sorted(((k, c) for k, c in expected.items() if c), key=lambda kc: kc[0].sort_key())
+        product = a * b
+        assert product.terms == tuple(terms)
+        assert all(type(c) is Fraction for _, c in product.terms)
+
+    @given(signed_ring_elements(), signed_ring_elements(), bundle_objects(max_rank=3))
+    def test_normal_forms_pass_the_public_constructor(self, a, b, obj):
+        # (a + b) * (a - b) cancels a * b against b * a inside the kernel.
+        cancelled = (a + b) * (a - b) - (a * a - b * b)
+        assert cancelled == RING_ZERO
+        for x in (a * b, b * a, a * RING_ZERO, RING_ZERO * b, (a + b) * (a - b), a + b, a - a,
+                  cancelled, RingElement.of(a.terms + b.terms), RingElement.from_object(obj)):
+            assert type(x)(x._pairs) == x
 
     def test_terms_cancel_within_a_twist_group(self):
         line = basis(1, L12)
@@ -204,16 +232,17 @@ class TestSummandClosure:
 
     @staticmethod
     def left_operand_sizes(monkeypatch, obj, max_power):
-        """Size of the left operand of every kernel call summand_closure makes."""
+        """Classes in the left operand of every kernel call summand_closure
+        makes; every coefficient handed to the kernel must be 1."""
         sizes = []
-        kernel = kring.clebsch_gordan
+        kernel = kring._grouped_product
 
-        def spy(xs, ys):
-            xs = list(xs)
-            sizes.append(len(xs))
-            return kernel(xs, ys)
+        def spy(left, right):
+            assert all(c == 1 for side in (left, right) for ranks in side.values() for c in ranks.values())
+            sizes.append(sum(len(ranks) for ranks in left.values()))
+            return kernel(left, right)
 
-        monkeypatch.setattr(kring, "clebsch_gordan", spy)
+        monkeypatch.setattr(kring, "_grouped_product", spy)
         summand_closure(obj, max_power)
         return sizes
 
