@@ -5,16 +5,28 @@ tensor rule twisted by Picard-group arithmetic, Hom and section dimensions,
 finiteness classifiers, representation-ring closures, Tannakian group
 labels, and an independent Jordan-type oracle over exact rationals.
 
-The public API is the union of the five layers' ``__all__`` lists.
+The public API is the union of the five layers' ``__all__`` lists, resolved
+lazily by a module ``__getattr__`` (PEP 562): importing the package runs no
+layer, and a lookup imports the layers in ``_LAYERS`` order until one
+exports the name.  Resolved names are not kept in the package's globals.
 """
 
-from . import bundles, expr, jordan, kring, picard
-from .bundles import *
-from .expr import *
-from .jordan import *
-from .kring import *
-from .picard import *
+import importlib
 
 __version__ = "0.1.0"
+_LAYERS = ("picard", "bundles", "expr", "kring", "jordan")  # dependency order, cheapest first
 
-__all__ = [*picard.__all__, *bundles.__all__, *kring.__all__, *jordan.__all__, *expr.__all__]
+
+def __getattr__(name: str):
+    if name == "__all__":
+        return [public for layer in _LAYERS for public in __getattr__(layer).__all__]
+    if name in _LAYERS:
+        return importlib.import_module(f"{__name__}.{name}")
+    for layer in map(__getattr__, _LAYERS):
+        if name in layer.__all__:
+            return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYERS, *__getattr__("__all__")})

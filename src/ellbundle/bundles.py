@@ -29,7 +29,6 @@ semifinite objects are sums of ``E_r (x) L`` with ``L`` torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -59,18 +58,37 @@ def tensor_rank_indices(r: int, s: int) -> tuple[int, ...]:
     return tuple(d + 2 * i - 1 for i in range(1, min(r, s) + 1))
 
 
-@dataclass(frozen=True)
-class Indecomposable:
+class _Frozen:
+    """Immutable values: fields are set once, by ``object.__setattr__``."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Indecomposable(_Frozen):
     """An Atiyah bundle E_rank twisted by a line bundle class."""
 
-    rank: int
-    twist: LineBundleClass = TRIVIAL
-
-    def __post_init__(self) -> None:
-        if type(self.rank) is not int or self.rank < 1:
+    def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
+        if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer")
-        if not isinstance(self.twist, LineBundleClass):
+        if not isinstance(twist, LineBundleClass):
             raise TypeError("the twist must be a LineBundleClass")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "twist", twist)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.twist) == (other.rank, other.twist)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.twist))
+
+    def __repr__(self) -> str:
+        return f"Indecomposable(rank={self.rank!r}, twist={self.twist!r})"
 
     def dual(self) -> "Indecomposable":
         return Indecomposable(self.rank, ~self.twist)
@@ -134,27 +152,45 @@ def clebsch_gordan(
     }
 
 
-class _Combination:
+class _Combination(_Frozen):
     """Indecomposables with coefficients, strictly sorted by ``sort_key`` and
     with no zero coefficient, so ``==`` decides equality.
 
-    A subclass is a frozen dataclass with one field of pairs, read through
-    ``_pairs``; ``_coerce`` converts a coefficient given to :meth:`of` and
-    ``_valid`` accepts a stored one.  Every normal form is checked once, on
-    int keys: ``(rank, twist key)`` with the twist keys of
-    :func:`~ellbundle.picard.int_sort_keys`, which order like ``sort_key``.
+    A subclass names its one field of pairs (``field="summands"``), read
+    through ``_pairs``, and gets the constructor, equality within its class,
+    the hash ``hash((pairs,))`` and a ``Name(field=...)`` repr.  ``_coerce``
+    converts a coefficient given to :meth:`of`, ``_valid`` accepts a stored
+    one.  Every normal form is checked once, on int keys: ``(rank, twist
+    key)`` with the twist keys of :func:`~ellbundle.picard.int_sort_keys`,
+    which order like ``sort_key``.
     """
 
-    def __post_init__(self) -> None:
-        twist_keys = int_sort_keys({ind.twist for ind, _ in self._pairs})
-        self._check([(ind.rank, twist_keys[ind.twist]) for ind, _ in self._pairs], self._pairs)
+    def __init_subclass__(cls, field: str) -> None:
+        cls._field = field
+        cls._pairs = property(attrgetter(field))
+
+    def __init__(self, pairs: tuple = ()) -> None:
+        object.__setattr__(self, self._field, pairs)
+        twist_keys = int_sort_keys({ind.twist for ind, _ in pairs})
+        self._check([(ind.rank, twist_keys[ind.twist]) for ind, _ in pairs], pairs)
 
     @classmethod
     def _check(cls, keys: list[tuple], pairs) -> None:
         if not all(k < l for k, l in zip(keys, keys[1:])):
-            raise ValueError(f"{fields(cls)[0].name} must be strictly sorted")
+            raise ValueError(f"{cls._field} must be strictly sorted")
         if not all(cls._valid(coeff) for _, coeff in pairs):
-            raise ValueError(f"invalid coefficient in {fields(cls)[0].name}")
+            raise ValueError(f"invalid coefficient in {cls._field}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._pairs == other._pairs
+
+    def __hash__(self) -> int:
+        return hash((self._pairs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({self._field}={self._pairs!r})"
 
     @classmethod
     def of(
@@ -177,8 +213,8 @@ class _Combination:
     def _from_groups(cls, groups: Groups):
         """The normal form of a twist-grouped map; zero coefficients are dropped.
 
-        The twists are keyed once, and the checks of :meth:`__post_init__`
-        run on the same keys before the field is set.
+        The twists are keyed once, and the checks of :meth:`__init__` run on
+        the same keys before the field is set.
         """
         twist_keys = int_sort_keys(groups)
         rows = [
@@ -191,7 +227,7 @@ class _Combination:
         pairs = tuple((Indecomposable(rank, twist), coeff) for _, rank, twist, coeff in rows)
         cls._check([row[0] for row in rows], pairs)
         out = object.__new__(cls)
-        object.__setattr__(out, fields(cls)[0].name, pairs)
+        object.__setattr__(out, cls._field, pairs)
         return out
 
     @property
@@ -209,17 +245,13 @@ class _Combination:
         return self._from_groups(_grouped_product(_by_twist(self._pairs), _by_twist(other._pairs)))
 
 
-@dataclass(frozen=True)
-class BundleObject(_Combination):
+class BundleObject(_Combination, field="summands"):
     """A direct sum of indecomposables in canonical (sorted multiset) form.
 
     The empty multiset is the zero object; ``+`` is direct sum, ``*`` is the
     tensor product and ``n * obj`` an n-fold direct sum.
     """
 
-    summands: tuple[tuple[Indecomposable, int], ...] = ()
-
-    _pairs = property(attrgetter("summands"))
     _valid = staticmethod(lambda mult: type(mult) is int and mult > 0)
 
     @staticmethod

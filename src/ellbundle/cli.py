@@ -15,14 +15,11 @@ digits than Python converts to text.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
 from .bundles import BundleObject, Indecomposable, hom_dim
 from .expr import ParseError, parse_object, print_canonical
-from .jordan import ProductObject, phi_transport, product_tensor
-from .kring import closed_form_S, krull_dim_class, summand_closure, tannakian_label
 from .picard import LineBundleClass
 
 __all__ = ["main"]
@@ -92,13 +89,6 @@ def _summand_records(obj: BundleObject) -> list[dict]:
     ]
 
 
-def _product_records(prod: ProductObject) -> list[dict]:
-    return [
-        {"char": char, "block": block, "multiplicity": mult}
-        for (char, block), mult in prod.components
-    ]
-
-
 def _single_class(obj: BundleObject) -> Indecomposable:
     classes = obj.classes()
     if len(classes) != 1:
@@ -133,6 +123,7 @@ def _classify(objects: list[BundleObject], args: argparse.Namespace) -> Result:
 
 
 def _summands(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    from .kring import summand_closure
     if args.max_power < 1:
         raise _UsageError("--max-power must be at least 1")
     closure = summand_closure(objects[0], args.max_power)
@@ -147,6 +138,7 @@ def _summands(objects: list[BundleObject], args: argparse.Namespace) -> Result:
 
 
 def _closedform(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    from .kring import closed_form_S
     form = closed_form_S(_single_class(objects[0]))
     if form is None:
         return EXIT_OK, {"supported": False}, "UNSUPPORTED"
@@ -161,11 +153,18 @@ def _closedform(objects: list[BundleObject], args: argparse.Namespace) -> Result
 
 
 def _group(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    from .kring import tannakian_label
     label = tannakian_label(_single_class(objects[0]))
     return EXIT_OK, {"label": str(label), "kind": label.kind, "param": label.param}, str(label)
 
 
+def _ringdim(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    from .kring import krull_dim_class
+    return _value(krull_dim_class(objects[0]))
+
+
 def _oracle_check(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+    from .jordan import phi_transport, product_tensor
     if args.modulus is None:
         raise _UsageError("oracle-check requires --modulus")
     if args.modulus < 1:
@@ -174,7 +173,8 @@ def _oracle_check(objects: list[BundleObject], args: argparse.Namespace) -> Resu
     lhs = phi_transport(objects[0] * objects[1], modulus)
     rhs = product_tensor(phi_transport(objects[0], modulus), phi_transport(objects[1], modulus))
     ok = lhs == rhs
-    fields = {"ok": ok, "modulus": modulus, "components": _product_records(lhs), "text": str(lhs)}
+    components = [{"char": c, "block": b, "multiplicity": m} for (c, b), m in lhs.components]
+    fields = {"ok": ok, "modulus": modulus, "components": components, "text": str(lhs)}
     if ok:
         return EXIT_OK, fields, f"ok: {lhs}"
     fields["mismatch"] = str(rhs)
@@ -183,7 +183,8 @@ def _oracle_check(objects: list[BundleObject], args: argparse.Namespace) -> Resu
 
 
 # verb -> (arity, help, handler); a handler maps the parsed objects and the
-# options to a Result.
+# options to a Result.  Handlers import kring and jordan themselves, and main
+# imports json only under --json, so a process loads only what its verb needs.
 _VERBS = {
     "normalize": (1, "canonical normal form of an expression", lambda o, a: _object(o[0])),
     "tensor": (2, "tensor product of two objects", lambda o, a: _object(o[0] * o[1])),
@@ -199,8 +200,7 @@ _VERBS = {
     "summands": (1, "indecomposable summands of tensor powers", _summands),
     "closedform": (1, "closed form of the summand closure, if known", _closedform),
     "group": (1, "Tannakian group label of a single indecomposable", _group),
-    "ringdim": (1, "Krull dimension class of the generated subring",
-                lambda o, a: _value(krull_dim_class(o[0]))),
+    "ringdim": (1, "Krull dimension class of the generated subring", _ringdim),
     "oracle-check": (2, "compare the tensor against the linear-algebra oracle", _oracle_check),
 }
 
@@ -218,6 +218,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         texts = _collect_expressions(args)
         code, record, text = _dispatch(args.verb, texts, args)
+        if args.json:
+            import json
         output = json.dumps(record, sort_keys=True) if args.json else text
     except (_UsageError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable --file
         print(f"usage error: {exc}", file=sys.stderr)

@@ -33,10 +33,10 @@ from __future__ import annotations
 import operator
 import string
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
+from typing import NamedTuple
 
 from .bundles import UNIT, ZERO, BundleObject, atiyah
 from .picard import line_class
@@ -71,8 +71,7 @@ class ExprValidationError(ParseError):
 # -- tokenizer -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     offset: int

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import Optional, Union
 
 from .bundles import BundleObject, Groups, Indecomposable, _by_twist, _Combination, _grouped_product
@@ -48,13 +47,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RingElement(_Combination):
+class RingElement(_Combination, field="terms"):
     """A finite rational combination of indecomposable bundle classes."""
 
-    terms: tuple[tuple[Indecomposable, Fraction], ...] = ()
-
-    _pairs = property(attrgetter("terms"))
     _valid = staticmethod(lambda coeff: type(coeff) is Fraction and coeff != 0)
 
     @staticmethod
