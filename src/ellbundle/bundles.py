@@ -18,13 +18,12 @@ One kernel, ``_grouped_product``, computes every product in the package.
 It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
 pair of distinct twists is multiplied once and ranks combine as plain
 integers; normal forms are sorted straight from its groups, and
-indecomposables are built only for the result.  :func:`clebsch_gordan` is
-its public form on ``(indecomposable, coefficient)`` pairs.  Each
-``E_r`` is self-dual, ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0
-otherwise, and ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers
-at the bottom express the trichotomy on this curve: finite objects are sums
-of torsion line bundles, unipotent objects are sums of the ``E_r``, and
-semifinite objects are sums of ``E_r (x) L`` with ``L`` torsion.
+indecomposables are built only for the result.  Each ``E_r`` is self-dual,
+``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0 otherwise, and
+``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers at the bottom express
+the trichotomy on this curve: finite objects are sums of torsion line
+bundles, unipotent objects are sums of the ``E_r``, and semifinite objects
+are sums of ``E_r (x) L`` with ``L`` torsion.
 """
 
 from __future__ import annotations
@@ -42,11 +41,8 @@ __all__ = [
     "ZERO",
     "UNIT",
     "atiyah",
-    "clebsch_gordan",
     "tensor_rank_indices",
-    "tensor",
     "hom_dim",
-    "end_dim_projective_check",
 ]
 
 
@@ -133,23 +129,6 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
                     for k in range(abs(r - q) + 1, r + q, 2):
                         ranks[k] = ranks.get(k, 0) + coeff
     return products
-
-
-def clebsch_gordan(
-    xs: Iterable[tuple[Indecomposable, Coeff]], ys: Iterable[tuple[Indecomposable, Coeff]]
-) -> dict[Indecomposable, Coeff]:
-    """Tensor product of two combinations of indecomposables.
-
-    Each side is an iterable of ``(indecomposable, coefficient)`` pairs; the
-    result maps each indecomposable of the product to its coefficient, with
-    zero coefficients dropped.
-    """
-    return {
-        Indecomposable(k, twist): coeff
-        for twist, ranks in _grouped_product(_by_twist(xs), _by_twist(ys)).items()
-        for k, coeff in ranks.items()
-        if coeff
-    }
 
 
 class _Combination(_Frozen):
@@ -338,10 +317,6 @@ def atiyah(rank: int, twist: LineBundleClass = TRIVIAL) -> BundleObject:
     return BundleObject(((Indecomposable(rank, twist), 1),))
 
 
-def tensor(a: BundleObject, b: BundleObject) -> BundleObject:
-    return a * b
-
-
 def hom_dim(a: BundleObject, b: BundleObject) -> int:
     """dim Hom(a, b): on indecomposables min(r, s) gated by equal twists.
 
@@ -355,11 +330,3 @@ def hom_dim(a: BundleObject, b: BundleObject) -> int:
         for r, mx in left_ranks.items()
         for s, my in right.get(twist, {}).items()
     )
-
-
-def end_dim_projective_check(rank: int) -> bool:
-    """Numerical projectivity criterion: dim End(E_r) must equal r."""
-    if rank < 1:
-        raise ValueError("rank must be positive")
-    e = atiyah(rank)
-    return hom_dim(e, e) == rank

@@ -31,7 +31,6 @@ BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
 from __future__ import annotations
 
 import operator
-import string
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -80,8 +79,8 @@ class _Token(NamedTuple):
 _PUNCT = set("+*~^()[],/-")
 # ASCII only: str.isdigit and str.isalnum also accept '²' (which int()
 # rejects), '٣' (which int() reads as 3) and 'ä' (no valid generator name).
-_DIGITS = frozenset(string.digits)
-_NAME_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
 _ATOM_EXPECTED = frozenset({"E", "L", "T<name>", "O", "Z", "INT", "'('", "'~'"})

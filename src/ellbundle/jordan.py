@@ -4,20 +4,22 @@ The bundle algebra predicts tensor decompositions through the
 Clebsch-Gordan index rule.  This module recovers the same answer from raw
 matrices: a unipotent block of size n is the n x n Jordan matrix with
 eigenvalue 1, the Kronecker product of two blocks is again unipotent in
-characteristic 0, and its Jordan type is read off from exact ranks of
-powers of the nilpotent part T:
+characteristic 0, and its Jordan type is that of the nilpotent operator
+N = N_r (x) 1 + 1 (x) N_s (see :func:`jordan_tensor`), read off from exact
+ranks of powers of N:
 
-    #(blocks of size k) = rank(T^(k-1)) - 2*rank(T^k) + rank(T^(k+1)).
+    #(blocks of size k) = rank(N^(k-1)) - 2*rank(N^k) + rank(N^(k+1)).
 
-The ranks come from iterated images, im(T^k) = T(im(T^(k-1))), without
-forming any power of T.  T is built directly as sparse columns (at most
-three ones each); starting from the standard basis, each step applies T to
-every vector of the last image's basis and inserts the results into a
-fraction-free echelon basis of sparse integer vectors, whose size is
-rank(T^k).  There are at most r+s-1 steps, each applying T to at most r*s
-vectors of sparse support and reducing them against at most r*s pivots,
-so no dense (rs) x (rs) matrix is ever stored.  For r = s = 12 this takes
-about 20 ms, for 16 about 80 ms and for 30 about 2.4 s (Python 3.11).
+The ranks come from iterated images, im(N^k) = N(im(N^(k-1))), without
+forming any power of N.  N has at most two ones per column; starting from
+the standard basis, each step applies N to every vector of the last
+image's basis and inserts the results into a fraction-free echelon basis of
+sparse integer vectors, whose size is rank(N^k).  N lowers the degree j+l
+of e_(j,l) by one, so every image vector lies in one degree, and so does
+its pivot: the echelon basis never reduces across degrees.  There are at
+most r+s-1 steps, and no dense (rs) x (rs) matrix is ever stored.  For
+r = s = 12 this takes about 7 ms, for 16 about 15 ms and for 30 about
+0.2 s (Python 3.11).
 
 Everything is integer/rational arithmetic; floating point is never used.
 
@@ -107,41 +109,33 @@ def exact_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
     return len(basis)
 
 
-def _nilpotent_columns(r: int, s: int) -> list[list[int]]:
-    """Sparse columns of T = J_r (x) J_s - I on the basis e_(j,l), index j*s + l.
-
-    T e_(j,l) = e_(j,l-1) + e_(j-1,l) + e_(j-1,l-1), where these exist.
-    """
-    columns = []
-    for j in range(r):
-        for l in range(s):
-            c = j * s + l
-            column = [c - 1] if l else []
-            if j:
-                column.append(c - s)
-                if l:
-                    column.append(c - s - 1)
-            columns.append(column)
-    return columns
-
-
 @lru_cache(maxsize=None, typed=True)
 def jordan_tensor(r: int, s: int) -> tuple[int, ...]:
     """Jordan type of the product of unipotent blocks of sizes r and s.
 
-    Returns a nonincreasing partition of r*s.  Results are memoised; the
-    cache is only ever appended to under the GIL, so concurrent callers may
-    duplicate work but always observe complete, identical values.  The cache
-    is typed, so ``2.0`` or ``True`` never hit the entry of ``2`` or ``1``
-    and are rejected on every call.
+    Returns a nonincreasing partition of r*s, the Jordan type of
+    N = N_r (x) 1 + 1 (x) N_s with N_n the nilpotent n x n Jordan block.
+    In characteristic 0, J_r = exp(M_r) with M_r = log(J_r) nilpotent of
+    rank r-1, a single nilpotent block, so J_r (x) J_s = exp(M) with
+    M = M_r (x) 1 + 1 (x) M_s.  Then exp(M) - I = M*U with U the sum over
+    k >= 0 of M^k / (k+1)!, which is invertible and commutes with M, so all
+    powers of exp(M) - I and of M have equal ranks and the two share one
+    Jordan type.  M_r = P N_r P^-1 and M_s = Q N_s Q^-1, so M is conjugate
+    to N by P (x) Q.  No Clebsch-Gordan rule is used, which keeps this an
+    independent oracle.
+
+    Results are memoised; the cache is only ever appended to under the GIL,
+    so concurrent callers may duplicate work but always observe complete,
+    identical values.  The cache is typed, so ``2.0`` or ``True`` never hit
+    the entry of ``2`` or ``1`` and are rejected on every call.
     """
     if type(r) is not int or type(s) is not int:
         raise TypeError("block sizes must be integers")
     if r < 1 or s < 1:
         raise ValueError("block sizes must be positive")
     n = r * s
-    columns = _nilpotent_columns(r, s)
-    # im(T^k) = T(im(T^(k-1))): apply T to a basis of the last image.
+    # im(N^k) = N(im(N^(k-1))): apply N to a basis of the last image, where
+    # N e_(j,l) = e_(j,l-1) + e_(j-1,l) on the index c = j*s + l.
     ranks = [n]
     image: list[Vector] = [{c: 1} for c in range(n)]
     while image:
@@ -149,8 +143,10 @@ def jordan_tensor(r: int, s: int) -> tuple[int, ...]:
         for vec in image:
             out: Vector = {}
             for c, x in vec.items():
-                for i in columns[c]:
-                    out[i] = out.get(i, 0) + x
+                if c % s:
+                    out[c - 1] = out.get(c - 1, 0) + x
+                if c >= s:
+                    out[c - s] = out.get(c - s, 0) + x
             _insert(basis, {i: x for i, x in out.items() if x})
         image = list(basis.values())
         ranks.append(len(image))

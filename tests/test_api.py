@@ -8,11 +8,10 @@ PUBLIC = [
     "BundleObject", "ClosedForm", "ExprValidationError", "INFINITE", "Indecomposable",
     "LineBundleClass", "ModulusMismatchError", "ParseError", "ProductObject", "RING_ONE",
     "RING_ZERO", "RingElement", "SummandClosure", "TRIVIAL", "TannakianLabel",
-    "TransportError", "UNIT", "ZERO", "atiyah", "clebsch_gordan", "closed_form_S",
-    "end_dim_projective_check", "evaluate", "exact_rank", "hom_dim", "jordan_tensor",
-    "krull_dim_class", "line_class", "parse", "parse_object", "phi_transport",
-    "print_canonical", "product_tensor", "summand_closure", "tannakian_label", "tensor",
-    "tensor_rank_indices",
+    "TransportError", "UNIT", "ZERO", "atiyah", "closed_form_S", "evaluate", "exact_rank",
+    "hom_dim", "jordan_tensor", "krull_dim_class", "line_class", "parse", "parse_object",
+    "phi_transport", "print_canonical", "product_tensor", "summand_closure",
+    "tannakian_label", "tensor_rank_indices",
 ]
 
 

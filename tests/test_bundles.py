@@ -4,19 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ellbundle import (
+    RING_ZERO,
     TRIVIAL,
     UNIT,
     ZERO,
     BundleObject,
     Indecomposable,
+    RingElement,
     atiyah,
-    end_dim_projective_check,
     hom_dim,
     line_class,
     tensor_rank_indices,
 )
-
-from ellbundle.bundles import clebsch_gordan
 
 from _strategies import bundle_objects, finite_objects, indecomposables, unipotent_objects
 
@@ -63,8 +62,10 @@ class TestTensor:
     def test_kernel_sums_repeats_and_drops_zeros(self):
         e1, e2 = Indecomposable(1), Indecomposable(2)
         e1l, e2l = Indecomposable(1, L12), Indecomposable(2, L12)
-        assert clebsch_gordan([(e2, 1), (e2, 1)], [(e1, 3)]) == {e2: 6}
-        assert clebsch_gordan([(e2, 1), (e2l, -1)], [(e1, 1), (e1l, 1)]) == {}
+        product = BundleObject.of([(e2, 1), (e2, 1)]) * BundleObject.of([(e1, 3)])
+        assert product == BundleObject.of([(e2, 6)])
+        left = RingElement.of([(e2, 1), (e2l, -1)])
+        assert left * RingElement.of([(e1, 1), (e1l, 1)]) == RING_ZERO
 
     @given(bundle_objects(max_rank=3), bundle_objects(max_rank=3))
     def test_matches_per_summand_pair_expansion(self, a, b):
@@ -252,9 +253,8 @@ class TestJordanHolder:
 
 
 def test_projective_generator_criterion():
-    assert end_dim_projective_check(1)
-    assert end_dim_projective_check(4)
-    assert all(end_dim_projective_check(r) for r in range(1, 51))
+    # dim End(E_r) = r
+    assert all(hom_dim(E(r), E(r)) == r for r in range(1, 51))
 
 
 def test_normal_form_is_canonical():

@@ -14,7 +14,7 @@ import pytest
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 # Modules a `rank` query has no use for.
-HEAVY = {"ellbundle.kring", "ellbundle.jordan", "json", "dataclasses"}
+HEAVY = {"ellbundle.kring", "ellbundle.jordan", "json", "dataclasses", "string"}
 
 
 def run(*args: str) -> tuple[int, str, set[str]]:
