@@ -155,7 +155,7 @@ def _closedform(objects: list[BundleObject], args: argparse.Namespace) -> Result
 def _group(objects: list[BundleObject], args: argparse.Namespace) -> Result:
     from .kring import tannakian_label
     label = tannakian_label(_single_class(objects[0]))
-    return EXIT_OK, {"label": str(label), "kind": label.kind, "param": label.param}, str(label)
+    return EXIT_OK, {"label": str(label), **vars(label)}, str(label)
 
 
 def _ringdim(objects: list[BundleObject], args: argparse.Namespace) -> Result:

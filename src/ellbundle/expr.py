@@ -253,7 +253,9 @@ def evaluate(node: tuple) -> BundleObject:
 
     Recursion is as deep as the input's nesting: a chain is one node, a sum
     is normalized once over all its summands, and a tensor chain is folded
-    from the left.
+    from the left.  A power of a single rank-1 class is computed in closed
+    form; any other power is a chain of products, since squaring general
+    objects was measured to be slower.
     """
     head = node[0]
     if head == "E":
@@ -267,7 +269,11 @@ def evaluate(node: tuple) -> BundleObject:
     if head == "~":
         return evaluate(node[1]).dual()
     if head == "^":
-        return reduce(operator.mul, repeat(evaluate(node[1]), node[2]), UNIT)
+        base, power = evaluate(node[1]), node[2]
+        if len(base.summands) == 1 and base.summands[0][0].rank == 1:  # (c*L)^n = c^n * L^n
+            (ind, count), = base.summands
+            return count ** power * atiyah(1, ind.twist ** power)
+        return reduce(operator.mul, repeat(base, power), UNIT)
     if head == "n*":
         return node[1] * evaluate(node[2])
     if head == "*":

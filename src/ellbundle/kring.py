@@ -9,17 +9,10 @@ multiplicities; a ring product runs the twist-grouped kernel of
 The module also enumerates summand closures S(E) (all indecomposable
 summands of all tensor powers of an object) on per-twist rank sets, one
 kernel step per power, stopping at the first power that adds no class.  It
-knows the closed forms of those closures in the cases where a closed form
-exists, classifies the Krull dimension of the generated subring, and labels
-the Tannakian group of the category generated by a single indecomposable.
-
-Two conventions extend the classical statements and are deliberate:
-
-* A rank-1 class with free generators is labelled ``GM(f)`` where f counts
-  the distinct generators occurring in the twist, treating named generators
-  as independent multiplicative directions.
-* For rank >= 3 with a nontrivial twist no group computation is on record;
-  the label is the honest placeholder ``MIXED_SEMIFINITE``.
+derives the closed form of the closure of one indecomposable E_r (x) L with
+a torsion twist, and the Tannakian group of the category it generates, from
+two invariants: whether r is 1, odd or even, and the cyclic group L
+generates.  It also classifies the Krull dimension of the generated subring.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .bundles import BundleObject, Groups, Indecomposable, _by_twist, _Combination, _grouped_product
-from .picard import TRIVIAL, LineBundleClass
+from .picard import INFINITE, TRIVIAL, LineBundleClass
 
 __all__ = [
     "RingElement",
@@ -161,26 +154,30 @@ def _within(step: Groups, seen: dict[LineBundleClass, set[int]]) -> bool:
 
 # -- closed forms ----------------------------------------------------------
 
-UNIT_ONLY = "UNIT_ONLY"
-ALL_RANKS = "ALL_RANKS"
-ODD_RANKS = "ODD_RANKS"
-CYCLIC_ALL_RANKS = "CYCLIC_ALL_RANKS"
-CYCLIC_RANK_PARITY = "CYCLIC_RANK_PARITY"
+_DESCRIPTIONS = {
+    "UNIT_ONLY": "{{E[1]}}",
+    "CYCLIC_UNIT": "{{E[1]*L^i : 0 <= i < {m}}} for L = {L}",
+    "ODD_RANKS": "{{E[2k-1] : k >= 1}}",
+    "CYCLIC_ODD_RANKS": "{{E[2k-1]*L^i : k >= 1, 0 <= i < {m}}} for L = {L}",
+    "ALL_RANKS": "{{E[k] : k >= 1}}",
+    "CYCLIC_ALL_RANKS": "{{E[k]*L^i : k >= 1, 0 <= i < {m}}} for L = {L}",
+    "CYCLIC_RANK_PARITY":
+        "{{E[2k-1]*L^(2i), E[2k]*L^(2i+1) : k >= 1, exponents mod {m}}} for L = {L}",
+}
 
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Symbolic description of a summand closure S(E).
+    """S(E_r (x) L) for a twist L of finite order m, read off the rank rule.
 
-    kind = UNIT_ONLY            {E_1}
-           ALL_RANKS            {E_k : k >= 1}
-           ODD_RANKS            {E_(2k-1) : k >= 1}
-           CYCLIC_ALL_RANKS     {E_k (x) L^i : k >= 1, i mod m}, m odd
-           CYCLIC_RANK_PARITY   odd ranks carry even powers of L, even ranks
-                                odd powers; m even
+    E_1^(x)n is E_1, and for r, n >= 2, E_r^(x)n holds every E_k with
+    k - 1 = n(r - 1) (mod 2) up to rank n(r - 1) + 1.  So for r >= 2,
+    E_k (x) L^i lies in S exactly when k - 1 = n(r - 1) (mod 2) for some
+    n >= 1 with n = i (mod m); the parities of such n are those of i and
+    i + m.  The kind names the shape this gives for r (1, odd or even) and m.
     """
 
-    kind: str
+    rank: int
     order: int = 1
     twist: LineBundleClass = field(default=TRIVIAL)
 
@@ -189,111 +186,74 @@ class ClosedForm:
         return {self.twist ** i: i for i in range(self.order)}
 
     def contains(self, ind: Indecomposable) -> bool:
-        if self.kind == UNIT_ONLY:
-            return ind == Indecomposable(1)
-        if self.kind == ALL_RANKS:
-            return ind.twist.is_trivial
-        if self.kind == ODD_RANKS:
-            return ind.twist.is_trivial and ind.rank % 2 == 1
-        exp = self._power_index.get(ind.twist)
-        if exp is None:
+        i = self._power_index.get(ind.twist)
+        if i is None:
             return False
-        if self.kind == CYCLIC_ALL_RANKS:
-            return True
-        return (ind.rank % 2 == 1) == (exp % 2 == 0)
+        if self.rank == 1:
+            return ind.rank == 1
+        return any((ind.rank - 1 - n * (self.rank - 1)) % 2 == 0 for n in (i, i + self.order))
+
+    @property
+    def kind(self) -> str:
+        if self.rank % 2 == 0 and self.order % 2 == 0:
+            return "CYCLIC_RANK_PARITY"
+        if self.rank == 1:
+            return "CYCLIC_UNIT" if self.order > 1 else "UNIT_ONLY"
+        return ("CYCLIC_" if self.order > 1 else "") + ("ODD_RANKS" if self.rank % 2 else "ALL_RANKS")
 
     def description(self) -> str:
-        if self.kind == UNIT_ONLY:
-            return "{E[1]}"
-        if self.kind == ALL_RANKS:
-            return "{E[k] : k >= 1}"
-        if self.kind == ODD_RANKS:
-            return "{E[2k-1] : k >= 1}"
-        if self.kind == CYCLIC_ALL_RANKS:
-            return (
-                f"{{E[k]*L^i : k >= 1, 0 <= i < {self.order}}} for L = {self.twist}"
-            )
-        return (
-            f"{{E[2k-1]*L^(2i), E[2k]*L^(2i+1) : k >= 1, exponents mod {self.order}}}"
-            f" for L = {self.twist}"
-        )
+        return _DESCRIPTIONS[self.kind].format(m=self.order, L=self.twist)
 
 
 def closed_form_S(ind: Indecomposable) -> Optional[ClosedForm]:
-    """Closed form of S(E) where one is known; None otherwise.
-
-    Untwisted generators follow the rank-parity dichotomy (the unit only
-    ever reproduces itself); rank-2 generators with a torsion twist follow
-    the parity of the twist's order.  Other shapes have no recorded closed
-    form.
-    """
-    twist = ind.twist
-    if twist.is_trivial:
-        if ind.rank == 1:
-            return ClosedForm(UNIT_ONLY)
-        return ClosedForm(ALL_RANKS if ind.rank % 2 == 0 else ODD_RANKS)
-    if ind.rank == 2 and twist.is_torsion:
-        order = twist.order()
-        kind = CYCLIC_ALL_RANKS if order % 2 else CYCLIC_RANK_PARITY
-        return ClosedForm(kind, order=order, twist=twist)
-    return None
+    """Closed form of S(E) for a generator with a torsion twist; None for a
+    twist of infinite order, whose closure is not periodic in the twist."""
+    if not ind.twist.is_torsion:
+        return None
+    return ClosedForm(ind.rank, ind.twist.order(), ind.twist)
 
 
 # -- Krull dimension and Tannakian labels ----------------------------------
 
 
 def krull_dim_class(obj: BundleObject) -> int:
-    """Krull dimension of the subring generated by S(obj): 0 iff finite."""
+    """Krull dimension class of the subring generated by S(obj): the finiteness
+    class, 0 iff obj is finite and 1 otherwise, not the exact dimension."""
     if obj.is_zero:
         raise ValueError("the zero object generates no subring")
     return 0 if obj.is_finite else 1
 
 
-TRIVIAL_GROUP = "TRIVIAL"
-MU = "MU"
-GM = "GM"
-GA = "GA"
-GA_X_GM = "GA_X_GM"
-GA_X_MU = "GA_X_MU"
-MIXED_SEMIFINITE = "MIXED_SEMIFINITE"
-
-
 @dataclass(frozen=True)
 class TannakianLabel:
-    """Label of the Tannakian group of the category an indecomposable generates."""
+    """The Tannakian group Ga^u x Gm^free_rank x mu_d1 x ... of a category.
 
-    kind: str
-    param: Optional[int] = None
+    ``unipotent`` says whether Ga is a factor, ``free_rank`` counts the Gm
+    factors and ``torsion`` lists the orders d of the mu_d factors.
+    """
+
+    unipotent: bool
+    free_rank: int = 0
+    torsion: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        if self.kind == TRIVIAL_GROUP:
-            return "1"
-        if self.kind == MU:
-            return f"mu_{self.param}"
-        if self.kind == GM:
-            return "Gm" if self.param == 1 else f"Gm^{self.param}"
-        if self.kind == GA:
-            return "Ga"
-        if self.kind == GA_X_GM:
-            return "Ga x Gm" if self.param == 1 else f"Ga x Gm^{self.param}"
-        if self.kind == GA_X_MU:
-            return f"Ga x mu_{self.param}"
-        return "mixed-semifinite"
+        parts = ["Ga"] * self.unipotent + ["Gm"] * self.free_rank + [f"mu_{d}" for d in self.torsion]
+        return " x ".join(parts) or "1"
 
 
 def tannakian_label(ind: Indecomposable) -> TannakianLabel:
-    twist = ind.twist
-    if ind.rank == 1:
-        if twist.free:
-            return TannakianLabel(GM, len(twist.free))
-        order = twist.order()
-        if order == 1:
-            return TannakianLabel(TRIVIAL_GROUP)
-        return TannakianLabel(MU, order)
-    if twist.is_trivial:
-        return TannakianLabel(GA)
-    if ind.rank == 2:
-        if twist.free:
-            return TannakianLabel(GA_X_GM, 1)
-        return TannakianLabel(GA_X_MU, twist.order())
-    return TannakianLabel(MIXED_SEMIFINITE)
+    """Label of the group of <E_r (x) L>, the category E_r (x) L generates.
+
+    For r >= 2, <E_r (x) L> = <E_2, L>: E_r (x) E_r^dual = E_r (x) L (x)
+    (E_r (x) L)^dual has E_3 as a summand, E_2 is a subobject of E_3, and L
+    is a subobject of E_r (x) L; conversely E_r is a summand of
+    E_2^(x)(r-1).  The group of <E_2> is Ga, and that of <L> is the Cartier
+    dual of the cyclic group L generates: trivial, mu_m for order m, Gm for
+    infinite order.  One is unipotent and the other of multiplicative type,
+    so they share no nontrivial quotient, and the group of <E_2, L> is
+    their product.  For r = 1 the category is <L> alone.
+    """
+    order = ind.twist.order()
+    if order == INFINITE:
+        return TannakianLabel(ind.rank > 1, 1)
+    return TannakianLabel(ind.rank > 1, 0, (order,) if order > 1 else ())

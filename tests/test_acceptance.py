@@ -65,12 +65,14 @@ def reachable_prefix(rank, order, max_power):
     """(rank, twist exponent) pairs of summands of the first max_power powers
     of E_rank (x) L, for L of torsion order `order`.
 
-    The n-th power contributes exactly the ranks k <= n*(rank-1)+1 with
-    k = n*(rank-1)+1 (mod 2), all carrying twist exponent n mod order; this
-    follows by induction from the Clebsch-Gordan index rule alone.
+    The first power is E_rank (x) L alone.  For n >= 2 the n-th power
+    contributes exactly the ranks k <= n*(rank-1)+1 with k = n*(rank-1)+1
+    (mod 2), all carrying twist exponent n mod order; this follows by
+    induction from the Clebsch-Gordan index rule alone, since E_r (x) E_r
+    already holds every odd rank up to 2r-1.
     """
-    out = set()
-    for n in range(1, max_power + 1):
+    out = {(rank, 1 % order)}
+    for n in range(2, max_power + 1):
         top = n * (rank - 1) + 1
         exp = n % order
         for k in range(top, 0, -2):
@@ -178,27 +180,30 @@ def test_criterion_4_transport_is_tensor_functor():
 
 @criterion(5, "summand-closure closed forms")
 def test_criterion_5_closed_forms():
-    max_power = 8
-    cases = [(Indecomposable(r), 1) for r in range(1, 7)]
-    cases += [
-        (Indecomposable(2, line_class(Fraction(1, m))), m) for m in range(2, 7)
-    ]
-    for generator, order in cases:
-        closure = summand_closure(atiyah(generator.rank, generator.twist), max_power)
-        power_index = {generator.twist ** i: i for i in range(order)}
-        got = set()
-        for ind in closure.classes:
-            assert ind.twist in power_index, (generator, ind)
-            got.add((ind.rank, power_index[ind.twist]))
-        # prefix equality against the independent reachability formula
-        assert got == reachable_prefix(generator.rank, order, max_power), generator
-        # containment in the closed form
-        form = closed_form_S(generator)
-        assert form is not None, generator
-        for ind in closure.classes:
-            assert form.contains(ind), (generator, ind)
-        # only the unit stabilises among these generators
-        assert closure.stabilized == (generator.rank == 1), generator
+    for rank in range(1, 7):
+        for twist in [TRIVIAL] + [line_class(Fraction(1, m)) for m in range(2, 7)]:
+            order = twist.order()
+            power_index = {twist ** i: i for i in range(order)}
+            form = closed_form_S(Indecomposable(rank, twist))
+            assert form is not None, (rank, twist)
+            for max_power in (8, 2 * order + 8):
+                closure = summand_closure(atiyah(rank, twist), max_power)
+                got = set()
+                for ind in closure.classes:
+                    assert ind.twist in power_index, (rank, twist, ind)
+                    got.add((ind.rank, power_index[ind.twist]))
+                    # containment in the closed form
+                    assert form.contains(ind), (rank, twist, ind)
+                # prefix equality against the independent reachability formula
+                assert got == reachable_prefix(rank, order, max_power), (rank, twist)
+                # only the unit stabilises among these generators
+                assert closure.stabilized == (rank == 1), (rank, twist)
+            # completeness: each contained class of rank <= 5 appears by power 2m+8
+            contained = {
+                (k, i) for k in range(1, 6) for i in range(order)
+                if form.contains(Indecomposable(k, twist ** i))
+            }
+            assert contained <= got, (rank, twist)
 
 
 @criterion(6, "finiteness trichotomy")

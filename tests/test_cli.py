@@ -64,7 +64,7 @@ class TestVerbs:
         assert (code, out) == (0, "{E[2k-1] : k >= 1}\n")
 
     def test_closedform_unsupported(self, capsys):
-        code, out, _ = run(capsys, "closedform", "E[3]*L[1/3,0]")
+        code, out, _ = run(capsys, "closedform", "E[2]*Tg")
         assert (code, out) == (0, "UNSUPPORTED\n")
 
     def test_ringdim(self, capsys):
@@ -105,7 +105,12 @@ class TestStructuredOutput:
         _, out, _ = run(capsys, "group", "E[2]*Tg", "--json")
         record = json.loads(out)
         assert record["label"] == "Ga x Gm"
-        assert record["kind"] == "GA_X_GM"
+        assert (record["unipotent"], record["free_rank"], record["torsion"]) == (True, 1, [])
+        _, out, _ = run(capsys, "group", "E[3]*L[1/3,0]", "--json")
+        record = json.loads(out)
+        assert record["label"] == "Ga x mu_3"
+        assert (record["unipotent"], record["free_rank"], record["torsion"]) == (True, 0, [3])
+        assert "kind" not in record and "param" not in record
 
     def test_deterministic_output(self, capsys):
         first = run(capsys, "summands", "E[2]*L[1/3,0]", "--max-power", "5", "--json")
@@ -229,6 +234,16 @@ class TestLongInput:
         code, out, _ = run(capsys, "normalize", text)
         assert code == 0
         assert out.count(" + ") == 3999 and out.startswith("E[2] + E[2]*L[1/4001,0] + ")
+
+    def test_huge_power_of_a_line_bundle_class(self):
+        # (c*L)^n is one class, computed without a chain of n products.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "ellbundle", "normalize", "O^10000000"],
+            capture_output=True, env=env, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "E[1]\n", "")
 
     def test_329_nested_parentheses(self):
         # The deepest nesting the parser takes from a top-level script, run in

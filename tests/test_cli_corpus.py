@@ -8,6 +8,9 @@ reports itself.  Any change in any byte of any answer fails here.
 Rebuild the file only on purpose, from the tree whose output is wanted:
 
     PYTHONPATH=src python tests/test_cli_corpus.py
+
+It prints the argv of every record that differs from the file it
+overwrites, so the list of changed answers comes from the tool.
 """
 
 import contextlib
@@ -113,5 +116,8 @@ def test_output_is_byte_identical(verb):
 
 if __name__ == "__main__":
     records = [run(argv) for argv in argvs()]
+    for record in records:
+        if record not in RECORDS:
+            print("changed:", json.dumps(record["argv"], ensure_ascii=False))
     CORPUS.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} records to {CORPUS}")

@@ -135,6 +135,13 @@ class TestEvaluation:
         assert parse_object("~(E[2]*Ta)^2") == parse_object("(E[2]*Ta)^2").dual()
         assert parse_object("~(E[2]*Ta)^2") != parse_object("(E[2]*Ta)^2")
 
+    def test_power_of_one_rank_one_class_matches_the_product_chain(self):
+        for base in ["O", "L[1/6,1/4]", "(3*L[-1/3,0])", "(2*Ta*L[1/2,0])", "~Tg"]:
+            for power in range(5):
+                chain = "*".join([base] * power) if power else "O"
+                assert parse_object(f"{base}^{power}") == parse_object(chain), (base, power)
+        assert parse_object("Tg^1000001") == atiyah(1, line_class(free={"g": 1000001}))
+
     def test_zero_multiplicity(self):
         assert parse_object("0*E[2]") == ZERO
 

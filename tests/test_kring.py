@@ -13,6 +13,7 @@ from ellbundle import (
     ZERO,
     Indecomposable,
     RingElement,
+    TannakianLabel,
     atiyah,
     closed_form_S,
     krull_dim_class,
@@ -20,20 +21,6 @@ from ellbundle import (
     summand_closure,
     tannakian_label,
     tensor_rank_indices,
-)
-from ellbundle.kring import (
-    ALL_RANKS,
-    CYCLIC_ALL_RANKS,
-    CYCLIC_RANK_PARITY,
-    GA,
-    GA_X_GM,
-    GA_X_MU,
-    GM,
-    MIXED_SEMIFINITE,
-    MU,
-    ODD_RANKS,
-    TRIVIAL_GROUP,
-    UNIT_ONLY,
 )
 
 from _strategies import bundle_objects, indecomposables, ring_elements
@@ -268,26 +255,27 @@ class TestSummandClosure:
 class TestClosedForm:
     def test_unit_generates_only_itself(self):
         form = closed_form_S(Indecomposable(1))
-        assert form.kind == UNIT_ONLY
+        assert form.kind == "UNIT_ONLY"
+        assert form.description() == "{E[1]}"
         assert form.contains(Indecomposable(1))
         assert not form.contains(Indecomposable(3))
 
     def test_odd_rank_generator(self):
         form = closed_form_S(Indecomposable(3))
-        assert form.kind == ODD_RANKS
+        assert form.kind == "ODD_RANKS"
         assert form.contains(Indecomposable(5))
         assert not form.contains(Indecomposable(2))
         assert not form.contains(Indecomposable(3, L12))
 
     def test_even_rank_generator(self):
         form = closed_form_S(Indecomposable(2))
-        assert form.kind == ALL_RANKS
+        assert form.kind == "ALL_RANKS"
         assert form.contains(Indecomposable(9))
         assert not form.contains(Indecomposable(1, L12))
 
     def test_odd_order_twist_admits_all_ranks(self):
         form = closed_form_S(Indecomposable(2, L13))
-        assert form.kind == CYCLIC_ALL_RANKS
+        assert form.kind == "CYCLIC_ALL_RANKS"
         assert form.order == 3
         assert form.contains(Indecomposable(2, L13))
         assert form.contains(Indecomposable(4))
@@ -296,7 +284,7 @@ class TestClosedForm:
 
     def test_even_order_twist_pairs_rank_and_exponent_parity(self):
         form = closed_form_S(Indecomposable(2, L14))
-        assert form.kind == CYCLIC_RANK_PARITY
+        assert form.kind == "CYCLIC_RANK_PARITY"
         assert form.order == 4
         assert form.contains(Indecomposable(1))
         assert form.contains(Indecomposable(2, L14))
@@ -305,9 +293,28 @@ class TestClosedForm:
         assert not form.contains(Indecomposable(2))
         assert not form.contains(Indecomposable(1, L14))
 
+    def test_every_even_rank_follows_the_twist_order(self):
+        assert closed_form_S(Indecomposable(4, L13)).kind == "CYCLIC_ALL_RANKS"
+        form = closed_form_S(Indecomposable(6, L12))
+        assert form.kind == "CYCLIC_RANK_PARITY"
+        assert form.contains(Indecomposable(7)) and form.contains(Indecomposable(2, L12))
+        assert not form.contains(Indecomposable(6)) and not form.contains(Indecomposable(3, L12))
+
+    def test_torsion_line_bundle_cycles_the_unit(self):
+        form = closed_form_S(Indecomposable(1, L13))
+        assert form.kind == "CYCLIC_UNIT"
+        assert form.description() == "{E[1]*L^i : 0 <= i < 3} for L = L[1/3,0]"
+        assert all(form.contains(Indecomposable(1, L13 ** i)) for i in range(3))
+        assert not form.contains(Indecomposable(2)) and not form.contains(Indecomposable(1, L12))
+
+    def test_odd_rank_with_torsion_twist_holds_odd_ranks_in_every_power(self):
+        form = closed_form_S(Indecomposable(3, L14))
+        assert form.kind == "CYCLIC_ODD_RANKS"
+        assert form.description() == "{E[2k-1]*L^i : k >= 1, 0 <= i < 4} for L = L[1/4,0]"
+        assert all(form.contains(Indecomposable(k, L14 ** i)) for k in (1, 3, 5) for i in range(4))
+        assert not form.contains(Indecomposable(2)) and not form.contains(Indecomposable(4, L14))
+
     def test_unsupported_shapes(self):
-        assert closed_form_S(Indecomposable(3, L13)) is None
-        assert closed_form_S(Indecomposable(1, L12)) is None
         assert closed_form_S(Indecomposable(2, line_class(free={"g": 1}))) is None
 
     def test_descriptions_are_deterministic(self):
@@ -334,45 +341,50 @@ class TestKrullDim:
 class TestTannakianLabel:
     def test_trivial(self):
         label = tannakian_label(Indecomposable(1))
-        assert label.kind == TRIVIAL_GROUP
+        assert label == TannakianLabel(False, 0, ())
         assert str(label) == "1"
 
     def test_torsion_line(self):
         label = tannakian_label(Indecomposable(1, line_class(Fraction(1, 6))))
-        assert (label.kind, label.param) == (MU, 6)
+        assert label == TannakianLabel(False, 0, (6,))
         assert str(label) == "mu_6"
 
     def test_free_line(self):
         label = tannakian_label(Indecomposable(1, line_class(free={"g": 2})))
-        assert (label.kind, label.param) == (GM, 1)
+        assert label == TannakianLabel(False, 1, ())
         assert str(label) == "Gm"
-        two_gen = tannakian_label(Indecomposable(1, line_class(free={"g": 1, "h": 1})))
-        assert (two_gen.kind, two_gen.param) == (GM, 2)
-        assert str(two_gen) == "Gm^2"
+
+    def test_a_product_of_free_generators_generates_one_gm(self):
+        # Tg*Th has infinite order, so it generates a copy of Z: one Gm.
+        label = tannakian_label(Indecomposable(1, line_class(free={"g": 1, "h": 1})))
+        assert label == TannakianLabel(False, 1, ())
+        assert str(label) == "Gm"
 
     def test_unipotent_ranks_collapse(self):
-        assert tannakian_label(Indecomposable(2)).kind == GA
-        assert tannakian_label(Indecomposable(4)).kind == GA
+        assert tannakian_label(Indecomposable(2)) == tannakian_label(Indecomposable(4))
         assert str(tannakian_label(Indecomposable(2))) == "Ga"
 
     def test_rank_two_torsion(self):
         label = tannakian_label(Indecomposable(2, line_class(Fraction(1, 5))))
-        assert (label.kind, label.param) == (GA_X_MU, 5)
+        assert label == TannakianLabel(True, 0, (5,))
         assert str(label) == "Ga x mu_5"
 
     def test_rank_two_free(self):
         label = tannakian_label(Indecomposable(2, line_class(free={"g": 1})))
-        assert (label.kind, label.param) == (GA_X_GM, 1)
         assert str(label) == "Ga x Gm"
 
-    def test_higher_rank_twisted_is_unclassified(self):
-        label = tannakian_label(Indecomposable(3, L13))
-        assert label.kind == MIXED_SEMIFINITE
-        assert str(label) == "mixed-semifinite"
+    def test_higher_rank_twisted_reduces_to_rank_two(self):
+        # <E_r (x) L> = <E_2, L> for every r >= 2
+        assert str(tannakian_label(Indecomposable(3, L13))) == "Ga x mu_3"
+        assert str(tannakian_label(Indecomposable(4, line_class(free={"a": 1})))) == "Ga x Gm"
+        for r in range(2, 7):
+            for twist in (TRIVIAL, L12, L13, line_class(Fraction(1, 2), free={"h": -1})):
+                assert tannakian_label(Indecomposable(r, twist)) == tannakian_label(
+                    Indecomposable(2, twist)
+                )
 
-    def test_rank_one_label_matches_finiteness(self):
-        for twist in (TRIVIAL, L12, L13, line_class(free={"g": 1}), line_class(Fraction(1, 2), free={"h": -1})):
-            ind = Indecomposable(1, twist)
-            finite = atiyah(1, twist).is_finite
-            label = tannakian_label(ind)
-            assert finite == (label.kind in (TRIVIAL_GROUP, MU))
+    def test_label_matches_finiteness(self):
+        for rank in (1, 2, 3):
+            for twist in (TRIVIAL, L12, L13, line_class(free={"g": 1}), line_class(L12.t1, free={"h": -1})):
+                label = tannakian_label(Indecomposable(rank, twist))
+                assert atiyah(rank, twist).is_finite == (not label.unipotent and not label.free_rank)
