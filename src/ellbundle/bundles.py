@@ -4,10 +4,11 @@ Every indecomposable degree-0 bundle is ``E_r (x) L``: the rank-r Atiyah
 bundle (the unique indecomposable of rank r and degree 0 with a nonzero
 global section, built by iterated self-extensions of the trivial bundle)
 twisted by a degree-0 line bundle class.  A general object is a finite
-multiset of indecomposables; keeping the multiset sorted makes it a normal
-form, so ``==`` decides isomorphism.  The ring elements of
-:mod:`ellbundle.kring` share that normal form, with nonzero fractions in
-place of multiplicities; :class:`_Combination` holds it for both.
+multiset of indecomposables; keeping the multiset sorted, by rank and then
+by the twist's ``sort_key``, makes it a normal form, so ``==`` decides
+isomorphism.  The ring elements of :mod:`ellbundle.kring` share that normal
+form, with nonzero fractions in place of multiplicities; :class:`_Combination`
+holds it for both.
 
 The tensor product follows the Clebsch-Gordan pattern
 
@@ -33,7 +34,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, TypeVar, Union
 
-from .picard import TRIVIAL, LineBundleClass, int_sort_keys
+from .picard import TRIVIAL, LineBundleClass
 
 __all__ = [
     "Indecomposable",
@@ -86,9 +87,6 @@ class Indecomposable(_Frozen):
     def __repr__(self) -> str:
         return f"Indecomposable(rank={self.rank!r}, twist={self.twist!r})"
 
-    def dual(self) -> "Indecomposable":
-        return Indecomposable(self.rank, ~self.twist)
-
     def sort_key(self):
         return (self.rank, self.twist.sort_key())
 
@@ -139,9 +137,8 @@ class _Combination(_Frozen):
     through ``_pairs``, and gets the constructor, equality within its class,
     the hash ``hash((pairs,))`` and a ``Name(field=...)`` repr.  ``_coerce``
     converts a coefficient given to :meth:`of`, ``_valid`` accepts a stored
-    one.  Every normal form is checked once, on int keys: ``(rank, twist
-    key)`` with the twist keys of :func:`~ellbundle.picard.int_sort_keys`,
-    which order like ``sort_key``.
+    one.  Every normal form is checked once, on the keys ``sort_key``
+    returns: ``(rank, twist key)``, all ints but for generator names.
     """
 
     def __init_subclass__(cls, field: str) -> None:
@@ -150,8 +147,7 @@ class _Combination(_Frozen):
 
     def __init__(self, pairs: tuple = ()) -> None:
         object.__setattr__(self, self._field, pairs)
-        twist_keys = int_sort_keys({ind.twist for ind, _ in pairs})
-        self._check([(ind.rank, twist_keys[ind.twist]) for ind, _ in pairs], pairs)
+        self._check([ind.sort_key() for ind, _ in pairs], pairs)
 
     @classmethod
     def _check(cls, keys: list[tuple], pairs) -> None:
@@ -192,16 +188,13 @@ class _Combination(_Frozen):
     def _from_groups(cls, groups: Groups):
         """The normal form of a twist-grouped map; zero coefficients are dropped.
 
-        The twists are keyed once, and the checks of :meth:`__init__` run on
+        Each twist is keyed once, and the checks of :meth:`__init__` run on
         the same keys before the field is set.
         """
-        twist_keys = int_sort_keys(groups)
-        rows = [
-            ((rank, twist_keys[twist]), rank, twist, coeff)
-            for twist, ranks in groups.items()
-            for rank, coeff in ranks.items()
-            if coeff
-        ]
+        rows = []
+        for twist, ranks in groups.items():
+            key = twist.sort_key()
+            rows.extend(((rank, key), rank, twist, coeff) for rank, coeff in ranks.items() if coeff)
         rows.sort(key=itemgetter(0))
         pairs = tuple((Indecomposable(rank, twist), coeff) for _, rank, twist, coeff in rows)
         cls._check([row[0] for row in rows], pairs)

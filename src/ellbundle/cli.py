@@ -127,7 +127,7 @@ def _summands(objects: list[BundleObject], args: argparse.Namespace) -> Result:
     if args.max_power < 1:
         raise _UsageError("--max-power must be at least 1")
     closure = summand_closure(objects[0], args.max_power)
-    ordered = [ind for ind, _ in BundleObject.of(closure.classes).summands]
+    ordered = sorted(closure.classes, key=Indecomposable.sort_key)
     fields = {
         "classes": [{"rank": ind.rank, "twist": _twist_record(ind.twist)} for ind in ordered],
         "stabilized": closure.stabilized,

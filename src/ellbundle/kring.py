@@ -18,9 +18,9 @@ generates.  It also classifies the Krull dimension of the generated subring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import count
 from typing import Optional, Union
 
 from .bundles import BundleObject, Groups, Indecomposable, _by_twist, _Combination, _grouped_product
@@ -178,20 +178,32 @@ class ClosedForm:
     """
 
     rank: int
-    order: int = 1
-    twist: LineBundleClass = field(default=TRIVIAL)
+    twist: LineBundleClass = TRIVIAL
 
-    @cached_property
-    def _power_index(self) -> dict[LineBundleClass, int]:
-        return {self.twist ** i: i for i in range(self.order)}
+    def __post_init__(self) -> None:
+        if not isinstance(self.twist, LineBundleClass):
+            raise TypeError("the twist must be a LineBundleClass")
+        if not self.twist.is_torsion:
+            raise ValueError("the twist must have finite order")
+
+    @property
+    def order(self) -> int:
+        return self.twist.order()
 
     def contains(self, ind: Indecomposable) -> bool:
-        i = self._power_index.get(ind.twist)
-        if i is None:
+        # L = (a, b)/d has gcd(a, b, d) = 1, so some a + kb is a unit mod d.
+        # L^i = M = (p, q)/e needs e | d, and then (p + kq)d/e = i(a + kb) mod d.
+        d, a, b, _ = self.twist.sort_key()
+        e, p, q, free = ind.twist.sort_key()
+        if free or d % e:
+            return False
+        k = next(k for k in count() if math.gcd(a + k * b, d) == 1)
+        i = (p + k * q) * (d // e) * pow(a + k * b, -1, d) % d
+        if self.twist ** i != ind.twist:
             return False
         if self.rank == 1:
             return ind.rank == 1
-        return any((ind.rank - 1 - n * (self.rank - 1)) % 2 == 0 for n in (i, i + self.order))
+        return any((ind.rank - 1 - n * (self.rank - 1)) % 2 == 0 for n in (i, i + d))
 
     @property
     def kind(self) -> str:
@@ -210,7 +222,7 @@ def closed_form_S(ind: Indecomposable) -> Optional[ClosedForm]:
     twist of infinite order, whose closure is not periodic in the twist."""
     if not ind.twist.is_torsion:
         return None
-    return ClosedForm(ind.rank, ind.twist.order(), ind.twist)
+    return ClosedForm(ind.rank, ind.twist)
 
 
 # -- Krull dimension and Tannakian labels ----------------------------------

@@ -10,8 +10,9 @@ equality is equality in the group.
 The torsion pair is stored as integers over one denominator: ``(d, a, b)``
 with ``t1 = a/d``, ``t2 = b/d``, ``0 <= a, b < d`` and ``gcd(a, b, d) = 1``,
 so ``d`` is the order of the torsion part.  Products and powers are integer
-arithmetic, and equality and hashing compare int tuples; ``t1`` and ``t2``
-are still read as ``Fraction`` values.
+arithmetic, and equality, hashing and the sort order of twists all use the
+int tuple ``(d, a, b, free)``; ``t1`` and ``t2`` are still read as
+``Fraction`` values.
 
 All values are immutable and canonical; operations are pure functions, so
 classes can be shared between threads without synchronisation.
@@ -58,7 +59,6 @@ class LineBundleClass:
 
     # _key is (d, a, b, free) as in the module docstring; _hash is its hash.
     __slots__ = ("_key", "_hash")
-    __match_args__ = ("t1", "t2", "free")
 
     def __init__(
         self, t1: Fraction = Fraction(0), t2: Fraction = Fraction(0), free: FreePart = ()
@@ -139,8 +139,11 @@ class LineBundleClass:
 
     __invert__ = inverse
 
-    def sort_key(self):
-        return (self.t1, self.t2, self.free)
+    def sort_key(self) -> tuple:
+        """The canonical order of twists: the key ``(d, a, b, free)``, so by
+        the order d of the torsion part, then by the numerators a and b over
+        d, then by the free part."""
+        return self._key
 
     def __repr__(self) -> str:
         return f"LineBundleClass(t1={self.t1!r}, t2={self.t2!r}, free={self.free!r})"
@@ -165,20 +168,6 @@ def _reduced(d: int, a: int, b: int, free: FreePart) -> LineBundleClass:
     out._key = key = (d, a, b, free)
     out._hash = hash(key)
     return out
-
-
-def int_sort_keys(classes: Iterable[LineBundleClass]) -> dict[LineBundleClass, tuple]:
-    """Map each class to an integer key that orders like its ``sort_key``.
-
-    Over the common denominator D of the classes, (a/d, b/d, free) keys as
-    (a*D/d, b*D/d, free): scaling by D keeps the order of the coordinates,
-    and comparing ints is much cheaper than comparing Fractions.
-    """
-    keys = {c: c._key for c in classes}
-    common = math.lcm(*(d for d, _, _, _ in keys.values()))
-    return {
-        c: (a * (common // d), b * (common // d), free) for c, (d, a, b, free) in keys.items()
-    }
 
 
 TRIVIAL = LineBundleClass()

@@ -11,6 +11,7 @@ from ellbundle import (
     RING_ZERO,
     TRIVIAL,
     ZERO,
+    ClosedForm,
     Indecomposable,
     RingElement,
     TannakianLabel,
@@ -316,6 +317,37 @@ class TestClosedForm:
 
     def test_unsupported_shapes(self):
         assert closed_form_S(Indecomposable(2, line_class(free={"g": 1}))) is None
+
+    def test_refuses_a_twist_that_is_not_a_torsion_class(self):
+        with pytest.raises(TypeError):
+            ClosedForm(2, 2)
+        with pytest.raises(ValueError):
+            ClosedForm(2, line_class(free={"g": 1}))
+
+    def test_contains_solves_for_the_exponent_at_a_large_prime_order(self):
+        p = 10**9 + 7
+        twist = line_class(Fraction(3, p), Fraction(5, p))
+        form = closed_form_S(Indecomposable(1, twist))
+        assert form.order == p
+        assert form.contains(Indecomposable(1, twist ** 123456))
+        assert not form.contains(Indecomposable(1, line_class(Fraction(1, p))))
+
+    def test_contains_matches_the_power_table_for_every_twist_of_order_at_most_12(self):
+        coords = [(Fraction(a, d), Fraction(b, d)) for d in range(1, 13) for a in range(d) for b in range(d)]
+        twists = {line_class(t1, t2) for t1, t2 in coords}
+        units = [Indecomposable(1, other) for other in twists]
+        for twist in twists:
+            m = twist.order()
+            powers = {twist ** i: i for i in range(m)}
+            # A rank-1 generator holds exactly the powers of its twist ...
+            form = closed_form_S(Indecomposable(1, twist))
+            assert {ind.twist for ind in units if form.contains(ind)} == powers.keys(), twist
+            # ... and a rank-2 one pairs each power's exponent with rank parity.
+            form = closed_form_S(Indecomposable(2, twist))
+            for power, i in powers.items():
+                for k in (1, 2):
+                    expected = any((k - 1 - n) % 2 == 0 for n in (i, i + m))
+                    assert form.contains(Indecomposable(k, power)) == expected, (twist, k, i)
 
     def test_descriptions_are_deterministic(self):
         form = closed_form_S(Indecomposable(2, L13))

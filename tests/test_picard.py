@@ -218,6 +218,16 @@ def test_classes_survive_pickling():
     assert pickle.loads(pickle.dumps(c)) == c
 
 
+def test_twists_sort_by_torsion_order_then_numerators_then_free_part():
+    ta, half = line_class(free={"a": 1}), line_class(Fraction(1, 2))
+    ordered = [TRIVIAL, ~ta, ta, half, half * ta,
+               line_class(Fraction(1, 3)), line_class(0, Fraction(1, 4)), line_class(Fraction(1, 4))]
+    assert [str(c) for c in ordered] == [
+        "O", "~Ta", "Ta", "L[1/2,0]", "L[1/2,0]*Ta", "L[1/3,0]", "L[0,1/4]", "L[1/4,0]"
+    ]
+    assert sorted(reversed(ordered), key=LineBundleClass.sort_key) == ordered
+
+
 @given(st.lists(st.tuples(indecomposables(), st.integers(1, 3)), max_size=8))
 def test_bundle_object_order_is_sort_key_order(pairs):
     obj = BundleObject.of(pairs)
