@@ -15,11 +15,14 @@ The tensor product follows the Clebsch-Gordan pattern
     (E_r (x) L) (x) (E_s (x) M) = sum over i=1..min(r,s) of
                                   E_{|r-s|+2i-1} (x) LM.
 
-One kernel, ``_grouped_product``, computes every product in the package.
+One kernel, ``_grouped_product``, computes every object and ring product.
 It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
 pair of distinct twists is multiplied once and ranks combine as plain
 integers; normal forms are sorted straight from its groups, and
-indecomposables are built only for the result.  Each ``E_r`` is self-dual,
+indecomposables are built only for the result.  Summand closures need only
+which classes occur, so they use its support form, ``_grouped_support``,
+on ``{twist: rank bitmask}`` maps: the ranks of E_r (x) E_q are one run of a
+parity, a few shifts and ORs of the mask.  Each ``E_r`` is self-dual,
 ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0 otherwise, and
 ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers at the bottom express
 the trichotomy on this curve: finite objects are sums of torsion line
@@ -126,6 +129,43 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
                     coeff = a * b
                     for k in range(abs(r - q) + 1, r + q, 2):
                         ranks[k] = ranks.get(k, 0) + coeff
+    return products
+
+
+Masks = dict[LineBundleClass, int]
+
+
+def _mask_ranks(mask: int) -> list[int]:
+    """The ranks of a rank bitmask, in increasing order."""
+    return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def _grouped_support(left: Masks, right: Masks) -> Masks:
+    """The support of :func:`_grouped_product` when every coefficient is 1.
+
+    Each map is ``{twist: mask}``, with bit k of the mask set iff E_k occurs.
+    For a right rank q, the rule of :func:`tensor_rank_indices` gives every
+    left rank r >= q the pieces r - (q - 1), r - (q - 3), ..., r + (q - 1):
+    the mask of those r, shifted by each offset and ORed.  A left rank
+    r < q gives the run q - r + 1, q - r + 3, ..., q + r - 1, which is the
+    mask (4^r - 1)/3 of r alternate bits shifted by q - r + 1.
+    """
+    right_ranks = [(t, _mask_ranks(mask)) for t, mask in right.items()]
+    products: Masks = {}
+    for s, mask in left.items():
+        for t, ranks in right_ranks:
+            twist = s * t
+            out = products.get(twist, 0)
+            for q in ranks:
+                # the ranks r >= q, shifted by -(q - 1), then by 2 at a time
+                run = mask >> q << q >> (q - 1)
+                for _ in range(q - 1):
+                    run |= run << 2
+                out |= run
+                for r in range(1, min(q, mask.bit_length())):
+                    if mask >> r & 1:
+                        out |= (4 ** r - 1) // 3 << (q - r + 1)
+            products[twist] = out
     return products
 
 

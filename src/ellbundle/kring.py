@@ -7,12 +7,13 @@ base class, with nonzero fractions where objects have positive
 multiplicities; a ring product runs the twist-grouped kernel of
 :mod:`ellbundle.bundles` on integer numerators over one common denominator.
 The module also enumerates summand closures S(E) (all indecomposable
-summands of all tensor powers of an object) on per-twist rank sets, one
-kernel step per power, stopping at the first power that adds no class.  It
-derives the closed form of the closure of one indecomposable E_r (x) L with
-a torsion twist, and the Tannakian group of the category it generates, from
-two invariants: whether r is 1, odd or even, and the cyclic group L
-generates.  It also classifies the Krull dimension of the generated subring.
+summands of all tensor powers of an object) on per-twist rank bitmasks, one
+step of the support kernel per power, stopping at the first power that adds
+no class.  It derives the closed form of the closure of one indecomposable
+E_r (x) L with a torsion twist, and the Tannakian group of the category it
+generates, from two invariants: whether r is 1, odd or even, and the cyclic
+group L generates.  It also classifies the Krull dimension of the generated
+subring.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional, Union
 
-from .bundles import BundleObject, Groups, Indecomposable, _by_twist, _Combination, _grouped_product
+from .bundles import (BundleObject, Groups, Indecomposable, Masks, _by_twist, _Combination,
+                      _grouped_product, _grouped_support, _mask_ranks)
 from .picard import INFINITE, TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -121,35 +123,31 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
 
     Multiplicities are irrelevant for membership, so the iteration works on
     the class sets S_1 = classes(obj) and S_(n+1) = S_n (x) S_1, each kept as
-    ``{twist: ranks}``.  Every coefficient is reset to 1, so nothing cancels,
-    the integers stay small, and (x) distributes over unions:
-    for seen = S_1 u ... u S_n, seen (x) S_1 = S_2 u ... u S_(n+1).  Hence
-    seen is tensor-closed exactly when S_(n+1) is a subset of seen.
-    Enumeration stops at the first power that adds no class, and after the
-    cutoff ``stabilized`` reports whether S_(max_power+1) adds none.
+    ``{twist: mask}`` with bit k of the rank bitmask set iff E_k (x) twist
+    is in the set, and multiplied by the support kernel ``_grouped_support``.
+    (x) distributes over unions: for seen = S_1 u ... u S_n,
+    seen (x) S_1 = S_2 u ... u S_(n+1).  Hence seen is tensor-closed exactly
+    when S_(n+1) is a subset of seen.  Enumeration stops at the first power
+    that adds no class, and after the cutoff ``stabilized`` reports whether
+    S_(max_power+1) adds none.
     """
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    gens = _classes(_by_twist(obj.summands))
-    seen = {twist: set(ranks) for twist, ranks in gens.items()}
-    step = _classes(_grouped_product(gens, gens))
+    gens = {twist: sum(1 << rank for rank in ranks) for twist, ranks in _by_twist(obj.summands).items()}
+    seen = dict(gens)
+    step = _grouped_support(gens, gens)
     for _ in range(1, max_power):
         if _within(step, seen):
             break
-        for twist, ranks in step.items():
-            seen.setdefault(twist, set()).update(ranks)
-        step = _classes(_grouped_product(step, gens))
-    classes = frozenset(Indecomposable(rank, twist) for twist, ranks in seen.items() for rank in ranks)
+        for twist, mask in step.items():
+            seen[twist] = seen.get(twist, 0) | mask
+        step = _grouped_support(step, gens)
+    classes = frozenset(Indecomposable(rank, twist) for twist, mask in seen.items() for rank in _mask_ranks(mask))
     return SummandClosure(classes, _within(step, seen))
 
 
-def _classes(groups: Groups) -> Groups:
-    """The classes of a grouped map, each with coefficient 1."""
-    return {twist: dict.fromkeys(ranks, 1) for twist, ranks in groups.items()}
-
-
-def _within(step: Groups, seen: dict[LineBundleClass, set[int]]) -> bool:
-    return all(twist in seen and ranks.keys() <= seen[twist] for twist, ranks in step.items())
+def _within(step: Masks, seen: Masks) -> bool:
+    return all(not mask & ~seen.get(twist, 0) for twist, mask in step.items())
 
 
 # -- closed forms ----------------------------------------------------------
@@ -181,6 +179,8 @@ class ClosedForm:
     twist: LineBundleClass = TRIVIAL
 
     def __post_init__(self) -> None:
+        if type(self.rank) is not int or self.rank < 1:
+            raise ValueError("rank must be a positive integer")
         if not isinstance(self.twist, LineBundleClass):
             raise TypeError("the twist must be a LineBundleClass")
         if not self.twist.is_torsion:

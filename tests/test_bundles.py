@@ -16,8 +16,9 @@ from ellbundle import (
     line_class,
     tensor_rank_indices,
 )
+from ellbundle.bundles import _grouped_product, _grouped_support
 
-from _strategies import bundle_objects, finite_objects, indecomposables, unipotent_objects
+from _strategies import bundle_objects, finite_objects, indecomposables, line_classes, unipotent_objects
 
 L13 = line_class(Fraction(1, 3))
 L23 = line_class(Fraction(2, 3))
@@ -26,6 +27,13 @@ L12 = line_class(Fraction(1, 2))
 
 def E(r, twist=TRIVIAL):
     return atiyah(r, twist)
+
+
+def rank_sets():
+    """``{twist: ranks}`` maps, empty ones included, with torsion and free
+    twists and ranks up to 40, so a left rank falls below or above a right one."""
+    ranks = st.sets(st.integers(1, 40), min_size=1, max_size=5)
+    return st.dictionaries(line_classes(max_order=4), ranks, max_size=3)
 
 
 class TestTensor:
@@ -79,6 +87,16 @@ class TestTensor:
                         key = Indecomposable(rank, twist)
                         expected[key] = expected.get(key, 0) + mx * my
             assert left * b == BundleObject.of(expected)
+
+    @given(rank_sets(), rank_sets())
+    def test_support_kernel_is_the_support_of_the_kernel(self, left, right):
+        def masks(groups):
+            return {twist: sum(1 << rank for rank in ranks) for twist, ranks in groups.items()}
+
+        def ones(sets):
+            return {twist: dict.fromkeys(ranks, 1) for twist, ranks in sets.items()}
+
+        assert _grouped_support(masks(left), masks(right)) == masks(_grouped_product(ones(left), ones(right)))
 
 
 class TestDual:

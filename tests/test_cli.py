@@ -245,6 +245,20 @@ class TestLongInput:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[1]\n", "")
 
+    def test_long_summand_closure_of_e2(self):
+        # One closure step is a few shifts of a rank bitmask, so 8000 powers
+        # of E[2] (ranks 1..8001) finish well within the timeout.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "ellbundle", "summands", "E[2]", "--max-power", "8000"],
+            capture_output=True, env=env, text=True, timeout=10,
+        )
+        lines = done.stdout.splitlines()
+        assert (done.returncode, done.stderr) == (0, "")
+        assert lines[:-1] == [f"E[{k}]" for k in range(1, 8002)]
+        assert lines[-1] == "stabilized: false"
+
     def test_329_nested_parentheses(self):
         # The deepest nesting the parser takes from a top-level script, run in
         # a fresh process so the test runner's own frames do not count.

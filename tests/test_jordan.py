@@ -129,7 +129,7 @@ def test_oracle_does_not_call_the_clebsch_gordan_rule(monkeypatch):
         raise AssertionError("the oracle called the rule it checks")
 
     for module in (ellbundle.bundles, ellbundle.jordan):
-        for name in ("_grouped_product", "tensor_rank_indices"):
+        for name in ("_grouped_product", "_grouped_support", "tensor_rank_indices"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     jordan_tensor.cache_clear()
     assert jordan_tensor(4, 3) == (6, 4, 2)

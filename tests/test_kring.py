@@ -207,7 +207,7 @@ class TestSummandClosure:
         assert small.classes == large.classes
         assert large.stabilized
 
-    @given(bundle_objects(max_rank=3, max_summands=2), st.integers(1, 6))
+    @given(bundle_objects(max_rank=8, max_summands=2), st.integers(1, 6))
     def test_matches_per_pair_set_enumeration(self, obj, max_power):
         gens = obj.classes()
         seen, current = set(gens), set(gens)
@@ -220,17 +220,16 @@ class TestSummandClosure:
 
     @staticmethod
     def left_operand_sizes(monkeypatch, obj, max_power):
-        """Classes in the left operand of every kernel call summand_closure
-        makes; every coefficient handed to the kernel must be 1."""
+        """Classes in the left operand of every support-kernel call that
+        summand_closure makes, counted as the set bits of its rank masks."""
         sizes = []
-        kernel = kring._grouped_product
+        kernel = kring._grouped_support
 
         def spy(left, right):
-            assert all(c == 1 for side in (left, right) for ranks in side.values() for c in ranks.values())
-            sizes.append(sum(len(ranks) for ranks in left.values()))
+            sizes.append(sum(bin(mask).count("1") for mask in left.values()))
             return kernel(left, right)
 
-        monkeypatch.setattr(kring, "_grouped_product", spy)
+        monkeypatch.setattr(kring, "_grouped_support", spy)
         summand_closure(obj, max_power)
         return sizes
 
@@ -323,6 +322,11 @@ class TestClosedForm:
             ClosedForm(2, 2)
         with pytest.raises(ValueError):
             ClosedForm(2, line_class(free={"g": 1}))
+
+    @pytest.mark.parametrize("rank", [0, -1, True])
+    def test_refuses_a_rank_that_is_not_a_positive_int(self, rank):
+        with pytest.raises(ValueError):
+            ClosedForm(rank)
 
     def test_contains_solves_for_the_exponent_at_a_large_prime_order(self):
         p = 10**9 + 7
