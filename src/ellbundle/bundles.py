@@ -21,8 +21,8 @@ pair of distinct twists is multiplied once and ranks combine as plain
 integers; normal forms are sorted straight from its groups, and
 indecomposables are built only for the result.  Summand closures need only
 which classes occur, so they use its support form, ``_grouped_support``,
-on ``{twist: rank bitmask}`` maps: the ranks of E_r (x) E_q are one run of a
-parity, a few shifts and ORs of the mask.  Each ``E_r`` is self-dual,
+on ``{twist: rank bitmask}`` maps: the pieces E_{r+q-1-2j}, j < min(r, q),
+of E_r (x) E_q are one shift of a mask per j.  Each ``E_r`` is self-dual,
 ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0 otherwise, and
 ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers at the bottom express
 the trichotomy on this curve: finite objects are sums of torsion line
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, TypeVar, Union
 
 from .picard import TRIVIAL, LineBundleClass
@@ -144,11 +144,10 @@ def _grouped_support(left: Masks, right: Masks) -> Masks:
     """The support of :func:`_grouped_product` when every coefficient is 1.
 
     Each map is ``{twist: mask}``, with bit k of the mask set iff E_k occurs.
-    For a right rank q, the rule of :func:`tensor_rank_indices` gives every
-    left rank r >= q the pieces r - (q - 1), r - (q - 3), ..., r + (q - 1):
-    the mask of those r, shifted by each offset and ORed.  A left rank
-    r < q gives the run q - r + 1, q - r + 3, ..., q + r - 1, which is the
-    mask (4^r - 1)/3 of r alternate bits shifted by q - r + 1.
+    The rule of :func:`tensor_rank_indices` reads E_r (x) E_q as the pieces
+    E_{r+q-1-2j} for j < min(r, q).  So for a right rank q and each j < q,
+    the left ranks r > j, the mask with its low j + 1 bits cleared, give
+    their j-th pieces all at once: that mask shifted by q - 1 - 2j.
     """
     right_ranks = [(t, _mask_ranks(mask)) for t, mask in right.items()]
     products: Masks = {}
@@ -157,14 +156,10 @@ def _grouped_support(left: Masks, right: Masks) -> Masks:
             twist = s * t
             out = products.get(twist, 0)
             for q in ranks:
-                # the ranks r >= q, shifted by -(q - 1), then by 2 at a time
-                run = mask >> q << q >> (q - 1)
-                for _ in range(q - 1):
-                    run |= run << 2
-                out |= run
-                for r in range(1, min(q, mask.bit_length())):
-                    if mask >> r & 1:
-                        out |= (4 ** r - 1) // 3 << (q - r + 1)
+                for j in range(q):
+                    high = mask >> (j + 1) << (j + 1)
+                    shift = q - 1 - 2 * j
+                    out |= high << shift if shift >= 0 else high >> -shift
             products[twist] = out
     return products
 
@@ -177,8 +172,9 @@ class _Combination(_Frozen):
     through ``_pairs``, and gets the constructor, equality within its class,
     the hash ``hash((pairs,))`` and a ``Name(field=...)`` repr.  ``_coerce``
     converts a coefficient given to :meth:`of`, ``_valid`` accepts a stored
-    one.  Every normal form is checked once, on the keys ``sort_key``
-    returns: ``(rank, twist key)``, all ints but for generator names.
+    one.  Only the constructor, which takes outside pairs, checks them:
+    :meth:`_from_groups` sorts rows with distinct keys and coerced
+    coefficients, so its normal forms hold without a check.
     """
 
     def __init_subclass__(cls, field: str) -> None:
@@ -186,15 +182,12 @@ class _Combination(_Frozen):
         cls._pairs = property(attrgetter(field))
 
     def __init__(self, pairs: tuple = ()) -> None:
-        object.__setattr__(self, self._field, pairs)
-        self._check([ind.sort_key() for ind, _ in pairs], pairs)
-
-    @classmethod
-    def _check(cls, keys: list[tuple], pairs) -> None:
+        keys = [ind.sort_key() for ind, _ in pairs]
         if not all(k < l for k, l in zip(keys, keys[1:])):
-            raise ValueError(f"{cls._field} must be strictly sorted")
-        if not all(cls._valid(coeff) for _, coeff in pairs):
-            raise ValueError(f"invalid coefficient in {cls._field}")
+            raise ValueError(f"{self._field} must be strictly sorted")
+        if not all(self._valid(coeff) for _, coeff in pairs):
+            raise ValueError(f"invalid coefficient in {self._field}")
+        object.__setattr__(self, self._field, pairs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -228,19 +221,25 @@ class _Combination(_Frozen):
     def _from_groups(cls, groups: Groups):
         """The normal form of a twist-grouped map; zero coefficients are dropped.
 
-        Each twist is keyed once, and the checks of :meth:`__init__` run on
-        the same keys before the field is set.
+        Trusted: every caller (:meth:`of` after ``_coerce``, ``+``, ``*``,
+        ``dual``, ``jh_factors``, ring products) passes one entry per twist
+        and one per rank in it, so the keys ``(rank, twist key)`` are
+        distinct, and ``rows.sort()`` never compares twists and sorts
+        strictly; a nonzero sum or product of coerced coefficients is valid.
         """
         rows = []
         for twist, ranks in groups.items():
             key = twist.sort_key()
-            rows.extend(((rank, key), rank, twist, coeff) for rank, coeff in ranks.items() if coeff)
-        rows.sort(key=itemgetter(0))
-        pairs = tuple((Indecomposable(rank, twist), coeff) for _, rank, twist, coeff in rows)
-        cls._check([row[0] for row in rows], pairs)
+            rows.extend((rank, key, twist, coeff) for rank, coeff in ranks.items() if coeff)
+        rows.sort()
+        pairs = tuple((Indecomposable(rank, twist), coeff) for rank, _, twist, coeff in rows)
         out = object.__new__(cls)
         object.__setattr__(out, cls._field, pairs)
         return out
+
+    def _scaled(self, c: Coeff):
+        """Every coefficient times c, built through the public constructor."""
+        return type(self)(tuple((ind, coeff * c) for ind, coeff in self._pairs) if c else ())
 
     @property
     def is_zero(self) -> bool:
@@ -250,11 +249,6 @@ class _Combination(_Frozen):
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._from_groups(_by_twist(chain(self._pairs, other._pairs)))
-
-    def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._from_groups(_grouped_product(_by_twist(self._pairs), _by_twist(other._pairs)))
 
 
 class BundleObject(_Combination, field="summands"):
@@ -277,20 +271,22 @@ class BundleObject(_Combination, field="summands"):
     def classes(self) -> frozenset[Indecomposable]:
         return frozenset(ind for ind, _ in self.summands)
 
-    # Own bindings, not inherited ones: bench/tracer.py wraps these by name
-    # and would otherwise wrap the base methods that RingElement calls too.
+    # An own binding, not the inherited one: bench/tracer.py wraps it by
+    # name and would otherwise wrap the base method that RingElement calls too.
     def __add__(self, other: "BundleObject") -> "BundleObject":
         return super().__add__(other)
 
     def __mul__(self, other: "BundleObject") -> "BundleObject":
-        return super().__mul__(other)
+        if not isinstance(other, BundleObject):
+            return NotImplemented
+        return BundleObject._from_groups(_grouped_product(_by_twist(self.summands), _by_twist(other.summands)))
 
     def __rmul__(self, count: int) -> "BundleObject":
         if type(count) is not int:
             return NotImplemented
         if count < 0:
             raise ValueError("multiplicities must be nonnegative")
-        return BundleObject(tuple((ind, mult * count) for ind, mult in self.summands) if count else ())
+        return self._scaled(count)
 
     def dual(self) -> "BundleObject":
         return BundleObject._from_groups({~t: ranks for t, ranks in _by_twist(self.summands).items()})

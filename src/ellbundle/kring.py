@@ -58,7 +58,7 @@ class RingElement(_Combination, field="terms"):
         return cls.of(obj.summands)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(tuple((ind, -coeff) for ind, coeff in self.terms))
+        return self._scaled(-1)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
@@ -67,10 +67,7 @@ class RingElement(_Combination, field="terms"):
 
     def __mul__(self, other) -> "RingElement":
         if type(other) in (int, Fraction):
-            scalar = Fraction(other)
-            if not scalar:
-                return RING_ZERO
-            return RingElement(tuple((ind, coeff * scalar) for ind, coeff in self.terms))
+            return self._scaled(Fraction(other))
         if not isinstance(other, RingElement):
             return NotImplemented
         xs, dx = _numerators(self.terms)

@@ -288,8 +288,8 @@ def test_normal_form_is_canonical():
     st.lists(st.tuples(indecomposables(max_rank=3, max_order=3), st.integers(0, 2)), max_size=4),
 )
 def test_normal_forms_pass_the_public_constructor(a, b, pairs):
-    for x in (a * b, a * a, a + b, a.dual(), (a * b).dual() + a, BundleObject.of(pairs),
-              BundleObject.of(dict(pairs)), BundleObject.of(ind for ind, _ in pairs)):
+    for x in (a * b, a * a, a + b, a.dual(), (a * b).dual() + a, a.jh_factors(), 3 * a, 0 * a,
+              BundleObject.of(pairs), BundleObject.of(dict(pairs)), BundleObject.of(ind for ind, _ in pairs)):
         assert type(x)(x._pairs) == x
 
 

@@ -119,7 +119,8 @@ class TestRingOperations:
         cancelled = (a + b) * (a - b) - (a * a - b * b)
         assert cancelled == RING_ZERO
         for x in (a * b, b * a, a * RING_ZERO, RING_ZERO * b, (a + b) * (a - b), a + b, a - a,
-                  cancelled, RingElement.of(a.terms + b.terms), RingElement.from_object(obj)):
+                  cancelled, RingElement.of(a.terms + b.terms), RingElement.from_object(obj),
+                  -a, a * Fraction(2, 3), Fraction(-1, 2) * a, a * 0):
             assert type(x)(x._pairs) == x
 
     def test_terms_cancel_within_a_twist_group(self):
