@@ -22,7 +22,8 @@ integers; normal forms are sorted straight from its groups, and
 indecomposables are built only for the result.  Summand closures need only
 which classes occur, so they use its support form, ``_grouped_support``,
 on ``{twist: rank bitmask}`` maps: the pieces E_{r+q-1-2j}, j < min(r, q),
-of E_r (x) E_q are one shift of a mask per j.  Each ``E_r`` is self-dual,
+of E_r (x) E_q are one shift of a mask per j, and a closure keeps its twist
+products across powers.  Each ``E_r`` is self-dual,
 ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0 otherwise, and
 ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers at the bottom express
 the trichotomy on this curve: finite objects are sums of torsion line
@@ -35,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping, TypeVar, Union
+from typing import Iterable, Mapping, Optional, TypeVar, Union
 
 from .picard import TRIVIAL, LineBundleClass
 
@@ -58,6 +59,11 @@ def tensor_rank_indices(r: int, s: int) -> tuple[int, ...]:
     return tuple(d + 2 * i - 1 for i in range(1, min(r, s) + 1))
 
 
+# Bound once for Indecomposable._trusted, which closures and normal forms
+# call for every class they build.
+_new, _set = object.__new__, object.__setattr__
+
+
 class _Frozen:
     """Immutable values: fields are set once, by ``object.__setattr__``."""
 
@@ -78,6 +84,16 @@ class Indecomposable(_Frozen):
             raise TypeError("the twist must be a LineBundleClass")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "twist", twist)
+
+    @classmethod
+    def _trusted(cls, rank: int, twist: LineBundleClass) -> "Indecomposable":
+        """The class E_rank (x) twist built without the constructor's checks,
+        as ``picard._reduced`` builds twists; only for a positive int rank and
+        a ``LineBundleClass`` twist."""
+        out = _new(cls)
+        _set(out, "rank", rank)
+        _set(out, "twist", twist)
+        return out
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -140,7 +156,10 @@ def _mask_ranks(mask: int) -> list[int]:
     return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _grouped_support(left: Masks, right: Masks) -> Masks:
+Rows = dict[LineBundleClass, list[tuple[LineBundleClass, list[int]]]]
+
+
+def _grouped_support(left: Masks, right: Masks, rows: Optional[Rows] = None) -> Masks:
     """The support of :func:`_grouped_product` when every coefficient is 1.
 
     Each map is ``{twist: mask}``, with bit k of the mask set iff E_k occurs.
@@ -148,12 +167,20 @@ def _grouped_support(left: Masks, right: Masks) -> Masks:
     E_{r+q-1-2j} for j < min(r, q).  So for a right rank q and each j < q,
     the left ranks r > j, the mask with its low j + 1 bits cleared, give
     their j-th pieces all at once: that mask shifted by q - 1 - 2j.
+
+    The row of a left twist s is ``[(s * t, ranks of t's mask)]`` over the
+    right twists t.  ``rows`` keeps the rows across calls that share one
+    right operand, as a summand closure's powers do, so each twist pair is
+    multiplied once; without it the rows last one call.
     """
-    right_ranks = [(t, _mask_ranks(mask)) for t, mask in right.items()]
+    if rows is None:
+        rows = {}
     products: Masks = {}
     for s, mask in left.items():
-        for t, ranks in right_ranks:
-            twist = s * t
+        row = rows.get(s)
+        if row is None:
+            row = rows[s] = [(s * t, _mask_ranks(m)) for t, m in right.items()]
+        for twist, ranks in row:
             out = products.get(twist, 0)
             for q in ranks:
                 for j in range(q):
@@ -226,13 +253,15 @@ class _Combination(_Frozen):
         and one per rank in it, so the keys ``(rank, twist key)`` are
         distinct, and ``rows.sort()`` never compares twists and sorts
         strictly; a nonzero sum or product of coerced coefficients is valid.
+        Every rank comes from a built class or from the kernel's rule, so it
+        is a positive int, and the classes are built by ``_trusted``.
         """
         rows = []
         for twist, ranks in groups.items():
             key = twist.sort_key()
             rows.extend((rank, key, twist, coeff) for rank, coeff in ranks.items() if coeff)
         rows.sort()
-        pairs = tuple((Indecomposable(rank, twist), coeff) for rank, _, twist, coeff in rows)
+        pairs = tuple((Indecomposable._trusted(rank, twist), coeff) for rank, _, twist, coeff in rows)
         out = object.__new__(cls)
         object.__setattr__(out, cls._field, pairs)
         return out

@@ -8,12 +8,12 @@ multiplicities; a ring product runs the twist-grouped kernel of
 :mod:`ellbundle.bundles` on integer numerators over one common denominator.
 The module also enumerates summand closures S(E) (all indecomposable
 summands of all tensor powers of an object) on per-twist rank bitmasks, one
-step of the support kernel per power, stopping at the first power that adds
-no class.  It derives the closed form of the closure of one indecomposable
-E_r (x) L with a torsion twist, and the Tannakian group of the category it
-generates, from two invariants: whether r is 1, odd or even, and the cyclic
-group L generates.  It also classifies the Krull dimension of the generated
-subring.
+step of the support kernel per power, multiplying each twist pair once per
+closure and stopping at the first power that adds no class.  It derives the
+closed form of the closure of one indecomposable E_r (x) L with a torsion
+twist, and the Tannakian group of the category it generates, from two
+invariants: whether r is 1, odd or even, and the cyclic group L generates.
+It also classifies the Krull dimension of the generated subring.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Optional, Union
 
-from .bundles import (BundleObject, Groups, Indecomposable, Masks, _by_twist, _Combination,
+from .bundles import (BundleObject, Groups, Indecomposable, Rows, _by_twist, _Combination,
                       _grouped_product, _grouped_support, _mask_ranks)
 from .picard import INFINITE, TRIVIAL, LineBundleClass
 
@@ -122,29 +122,37 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     the class sets S_1 = classes(obj) and S_(n+1) = S_n (x) S_1, each kept as
     ``{twist: mask}`` with bit k of the rank bitmask set iff E_k (x) twist
     is in the set, and multiplied by the support kernel ``_grouped_support``.
+    The right operand is always S_1, so the kernel's twist rows are computed
+    once per closure: each left twist is multiplied by the generator's
+    twists when it first appears, and its row is reused at later powers.
     (x) distributes over unions: for seen = S_1 u ... u S_n,
     seen (x) S_1 = S_2 u ... u S_(n+1).  Hence seen is tensor-closed exactly
     when S_(n+1) is a subset of seen.  Enumeration stops at the first power
-    that adds no class, and after the cutoff ``stabilized`` reports whether
-    S_(max_power+1) adds none.
+    that adds no class, found in the same pass that adds S_(n+1) to seen,
+    and after the cutoff ``stabilized`` reports whether S_(max_power+1)
+    adds none.
     """
+    if type(max_power) is not int:
+        raise TypeError(f"max_power must be an int, not {type(max_power).__name__}")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
     gens = {twist: sum(1 << rank for rank in ranks) for twist, ranks in _by_twist(obj.summands).items()}
     seen = dict(gens)
-    step = _grouped_support(gens, gens)
+    rows: Rows = {}
+    step = _grouped_support(gens, gens, rows)
     for _ in range(1, max_power):
-        if _within(step, seen):
-            break
+        grown = False
         for twist, mask in step.items():
-            seen[twist] = seen.get(twist, 0) | mask
-        step = _grouped_support(step, gens)
-    classes = frozenset(Indecomposable(rank, twist) for twist, mask in seen.items() for rank in _mask_ranks(mask))
-    return SummandClosure(classes, _within(step, seen))
-
-
-def _within(step: Masks, seen: Masks) -> bool:
-    return all(not mask & ~seen.get(twist, 0) for twist, mask in step.items())
+            old = seen.get(twist, 0)
+            if mask & ~old:
+                seen[twist] = old | mask
+                grown = True
+        if not grown:
+            break
+        step = _grouped_support(step, gens, rows)
+    trusted = Indecomposable._trusted
+    classes = frozenset(trusted(rank, twist) for twist, mask in seen.items() for rank in _mask_ranks(mask))
+    return SummandClosure(classes, all(not mask & ~seen.get(twist, 0) for twist, mask in step.items()))
 
 
 # -- closed forms ----------------------------------------------------------

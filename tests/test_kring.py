@@ -13,12 +13,14 @@ from ellbundle import (
     ZERO,
     ClosedForm,
     Indecomposable,
+    LineBundleClass,
     RingElement,
     TannakianLabel,
     atiyah,
     closed_form_S,
     krull_dim_class,
     line_class,
+    parse_object,
     summand_closure,
     tannakian_label,
     tensor_rank_indices,
@@ -208,7 +210,7 @@ class TestSummandClosure:
         assert small.classes == large.classes
         assert large.stabilized
 
-    @given(bundle_objects(max_rank=8, max_summands=2), st.integers(1, 6))
+    @given(bundle_objects(max_rank=8, max_summands=3), st.integers(1, 6))
     def test_matches_per_pair_set_enumeration(self, obj, max_power):
         gens = obj.classes()
         seen, current = set(gens), set(gens)
@@ -226,9 +228,9 @@ class TestSummandClosure:
         sizes = []
         kernel = kring._grouped_support
 
-        def spy(left, right):
+        def spy(left, right, rows=None):
             sizes.append(sum(bin(mask).count("1") for mask in left.values()))
-            return kernel(left, right)
+            return kernel(left, right, rows)
 
         monkeypatch.setattr(kring, "_grouped_support", spy)
         summand_closure(obj, max_power)
@@ -248,9 +250,38 @@ class TestSummandClosure:
         assert closure.classes == frozenset()
         assert closure.stabilized
 
+    @pytest.mark.parametrize(
+        "text, max_power, products, classes",
+        [
+            # 30 twists reach the left operand, each multiplied by the 2 generator twists once
+            ("E[3]*L[1/6,0] + E[2]*L[0,1/5]", 32, 60, 1680),
+            ("E[4]*L[1/5,0]", 28, 5, 360),
+            # a free twist gives a new left twist at every power
+            ("E[5]*Ta", 24, 24, 622),
+        ],
+    )
+    def test_each_twist_pair_is_multiplied_once(self, monkeypatch, text, max_power, products, classes):
+        obj = parse_object(text)
+        calls = []
+        mul = LineBundleClass.__mul__
+
+        def spy(s, t):
+            calls.append((s, t))
+            return mul(s, t)
+
+        monkeypatch.setattr(LineBundleClass, "__mul__", spy)
+        closure = summand_closure(obj, max_power)
+        assert len(set(calls)) == len(calls) == products
+        assert (len(closure.classes), closure.stabilized) == (classes, False)
+
     def test_max_power_validation(self):
         with pytest.raises(ValueError):
             summand_closure(atiyah(1), 0)
+
+    @pytest.mark.parametrize("max_power", [True, 2.5, "3", None])
+    def test_max_power_must_be_an_int(self, max_power):
+        with pytest.raises(TypeError, match="max_power"):
+            summand_closure(atiyah(2), max_power)
 
 
 class TestClosedForm:
