@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, TypeVar, Union
+from typing import Iterable, Mapping, TypeVar, Union
 
 from .picard import TRIVIAL, LineBundleClass
 
@@ -53,10 +53,9 @@ __all__ = [
 
 def tensor_rank_indices(r: int, s: int) -> tuple[int, ...]:
     """Ranks of the indecomposable pieces of E_r (x) E_s, each occurring once."""
-    if r < 1 or s < 1:
-        raise ValueError("ranks must be positive")
-    d = abs(r - s)
-    return tuple(d + 2 * i - 1 for i in range(1, min(r, s) + 1))
+    if type(r) is not int or type(s) is not int or r < 1 or s < 1:
+        raise ValueError("ranks must be positive integers")
+    return tuple(range(abs(r - s) + 1, r + s, 2))
 
 
 # Bound once for Indecomposable._trusted, which closures and normal forms
@@ -65,7 +64,32 @@ _new, _set = object.__new__, object.__setattr__
 
 
 class _Frozen:
-    """Immutable values: fields are set once, by ``object.__setattr__``."""
+    """Immutable values: a subclass names its fields in its class statement
+    (``fields=(...)``) and passes their values, in that order, to
+    ``_Frozen.__init__``, which sets each once; equality holds only within one
+    class, the hash is that of the field tuple and the repr ``Name(field=...)``."""
+
+    def __init_subclass__(cls, fields: tuple[str, ...] = ()) -> None:
+        cls._fields = fields
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -74,7 +98,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Indecomposable(_Frozen):
+class Indecomposable(_Frozen, fields=("rank", "twist")):
     """An Atiyah bundle E_rank twisted by a line bundle class."""
 
     def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
@@ -95,6 +119,7 @@ class Indecomposable(_Frozen):
         _set(out, "twist", twist)
         return out
 
+    # Two named fields, not the base's generic tuple: closures hash every class.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -102,9 +127,6 @@ class Indecomposable(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.rank, self.twist))
-
-    def __repr__(self) -> str:
-        return f"Indecomposable(rank={self.rank!r}, twist={self.twist!r})"
 
     def sort_key(self):
         return (self.rank, self.twist.sort_key())
@@ -159,7 +181,7 @@ def _mask_ranks(mask: int) -> list[int]:
 Rows = dict[LineBundleClass, list[tuple[LineBundleClass, list[int]]]]
 
 
-def _grouped_support(left: Masks, right: Masks, rows: Optional[Rows] = None) -> Masks:
+def _grouped_support(left: Masks, right: Masks, rows: Rows) -> Masks:
     """The support of :func:`_grouped_product` when every coefficient is 1.
 
     Each map is ``{twist: mask}``, with bit k of the mask set iff E_k occurs.
@@ -171,10 +193,8 @@ def _grouped_support(left: Masks, right: Masks, rows: Optional[Rows] = None) -> 
     The row of a left twist s is ``[(s * t, ranks of t's mask)]`` over the
     right twists t.  ``rows`` keeps the rows across calls that share one
     right operand, as a summand closure's powers do, so each twist pair is
-    multiplied once; without it the rows last one call.
+    multiplied once.
     """
-    if rows is None:
-        rows = {}
     products: Masks = {}
     for s, mask in left.items():
         row = rows.get(s)
@@ -196,16 +216,15 @@ class _Combination(_Frozen):
     with no zero coefficient, so ``==`` decides equality.
 
     A subclass names its one field of pairs (``field="summands"``), read
-    through ``_pairs``, and gets the constructor, equality within its class,
-    the hash ``hash((pairs,))`` and a ``Name(field=...)`` repr.  ``_coerce``
-    converts a coefficient given to :meth:`of`, ``_valid`` accepts a stored
-    one.  Only the constructor, which takes outside pairs, checks them:
+    through ``_pairs``, and gets the constructor.  ``_coerce`` converts a
+    coefficient given to :meth:`of`, ``_valid`` accepts a stored one.  Only
+    the constructor, which takes outside pairs, checks them:
     :meth:`_from_groups` sorts rows with distinct keys and coerced
     coefficients, so its normal forms hold without a check.
     """
 
     def __init_subclass__(cls, field: str) -> None:
-        cls._field = field
+        cls._field, cls._fields = field, (field,)
         cls._pairs = property(attrgetter(field))
 
     def __init__(self, pairs: tuple = ()) -> None:
@@ -215,17 +234,6 @@ class _Combination(_Frozen):
         if not all(self._valid(coeff) for _, coeff in pairs):
             raise ValueError(f"invalid coefficient in {self._field}")
         object.__setattr__(self, self._field, pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return hash((self._pairs,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({self._field}={self._pairs!r})"
 
     @classmethod
     def of(

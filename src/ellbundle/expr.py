@@ -273,7 +273,7 @@ def evaluate(node: tuple) -> BundleObject:
         if len(base.summands) == 1 and base.summands[0][0].rank == 1:  # (c*L)^n = c^n * L^n
             (ind, count), = base.summands
             return count ** power * atiyah(1, ind.twist ** power)
-        return reduce(operator.mul, repeat(base, power), UNIT)
+        return reduce(operator.mul, repeat(base, power - 1), base) if power else UNIT
     if head == "n*":
         return node[1] * evaluate(node[2])
     if head == "*":

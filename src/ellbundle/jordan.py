@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
-from .bundles import BundleObject
+from .bundles import BundleObject, _Frozen
 
 __all__ = [
     "exact_rank",
@@ -96,14 +95,17 @@ def _insert(basis: dict[int, Vector], vec: Vector) -> None:
 
 
 def exact_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    """Rank over Q of a matrix with integer or Fraction entries.
+    """Rank over Q of a matrix of int or Fraction entries; any other entry raises TypeError.
 
     Each row is scaled to integers and inserted into a fraction-free echelon
     basis; the rank is the size of that basis.
     """
     basis: dict[int, Vector] = {}
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        for x in row:
+            if type(x) is not int and type(x) is not Fraction:
+                raise TypeError(f"matrix entries must be int or Fraction, not {type(x).__name__}")
+        den = math.lcm(*(x.denominator for x in row))
         ints = (int(x * den) for x in row)
         _insert(basis, {i: x for i, x in enumerate(ints) if x})
     return len(basis)
@@ -169,23 +171,20 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError("modulus must be a positive integer")
 
 
-@dataclass(frozen=True)
-class ProductObject:
+class ProductObject(_Frozen, fields=("modulus", "components")):
     """Multiset of (character mod m, unipotent block size) pairs."""
 
-    modulus: int
-    components: tuple[tuple[Component, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.modulus)
-        for (char, block), mult in self.components:
-            if type(char) is not int or not 0 <= char < self.modulus:
+    def __init__(self, modulus: int, components: tuple[tuple[Component, int], ...] = ()) -> None:
+        _check_modulus(modulus)
+        for (char, block), mult in components:
+            if type(char) is not int or not 0 <= char < modulus:
                 raise ValueError("characters must be integers reduced modulo the modulus")
             if type(block) is not int or type(mult) is not int or block < 1 or mult < 1:
                 raise ValueError("block sizes and multiplicities must be positive integers")
-        keys = [comp for comp, _ in self.components]
+        keys = [comp for comp, _ in components]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("components must be strictly sorted")
+        super().__init__(modulus, components)
 
     @classmethod
     def of(

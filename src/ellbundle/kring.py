@@ -19,13 +19,12 @@ It also classifies the Krull dimension of the generated subring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Optional, Union
 
 from .bundles import (BundleObject, Groups, Indecomposable, Rows, _by_twist, _Combination,
-                      _grouped_product, _grouped_support, _mask_ranks)
+                      _Frozen, _grouped_product, _grouped_support, _mask_ranks)
 from .picard import INFINITE, TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -102,8 +101,7 @@ RING_ONE = RingElement(((Indecomposable(1), Fraction(1)),))
 # -- summand closures -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SummandClosure:
+class SummandClosure(_Frozen, fields=("classes", "stabilized")):
     """Indecomposable summands found among the tensor powers of an object.
 
     ``stabilized`` is True exactly when the discovered set is closed under
@@ -111,8 +109,8 @@ class SummandClosure:
     S(E); otherwise the set is a proper prefix limited by the power cutoff.
     """
 
-    classes: frozenset[Indecomposable]
-    stabilized: bool
+    def __init__(self, classes: frozenset[Indecomposable], stabilized: bool) -> None:
+        super().__init__(classes, stabilized)
 
 
 def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
@@ -169,8 +167,7 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(_Frozen, fields=("rank", "twist")):
     """S(E_r (x) L) for a twist L of finite order m, read off the rank rule.
 
     E_1^(x)n is E_1, and for r, n >= 2, E_r^(x)n holds every E_k with
@@ -180,16 +177,14 @@ class ClosedForm:
     i + m.  The kind names the shape this gives for r (1, odd or even) and m.
     """
 
-    rank: int
-    twist: LineBundleClass = TRIVIAL
-
-    def __post_init__(self) -> None:
-        if type(self.rank) is not int or self.rank < 1:
+    def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
+        if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer")
-        if not isinstance(self.twist, LineBundleClass):
+        if not isinstance(twist, LineBundleClass):
             raise TypeError("the twist must be a LineBundleClass")
-        if not self.twist.is_torsion:
+        if not twist.is_torsion:
             raise ValueError("the twist must have finite order")
+        super().__init__(rank, twist)
 
     @property
     def order(self) -> int:
@@ -241,17 +236,15 @@ def krull_dim_class(obj: BundleObject) -> int:
     return 0 if obj.is_finite else 1
 
 
-@dataclass(frozen=True)
-class TannakianLabel:
+class TannakianLabel(_Frozen, fields=("unipotent", "free_rank", "torsion")):
     """The Tannakian group Ga^u x Gm^free_rank x mu_d1 x ... of a category.
 
     ``unipotent`` says whether Ga is a factor, ``free_rank`` counts the Gm
     factors and ``torsion`` lists the orders d of the mu_d factors.
     """
 
-    unipotent: bool
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    def __init__(self, unipotent: bool, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        super().__init__(unipotent, free_rank, torsion)
 
     def __str__(self) -> str:
         parts = ["Ga"] * self.unipotent + ["Gm"] * self.free_rank + [f"mu_{d}" for d in self.torsion]

@@ -96,7 +96,7 @@ class TestTensor:
         def ones(sets):
             return {twist: dict.fromkeys(ranks, 1) for twist, ranks in sets.items()}
 
-        assert _grouped_support(masks(left), masks(right)) == masks(_grouped_product(ones(left), ones(right)))
+        assert _grouped_support(masks(left), masks(right), {}) == masks(_grouped_product(ones(left), ones(right)))
 
 
 class TestDual:
@@ -130,6 +130,12 @@ class TestRank:
                 assert len(indices) == min(r, s)
                 assert sum(indices) == r * s
                 assert (E(r) * E(s)).rank() == r * s
+                assert indices == tuple(abs(r - s) + 2 * i - 1 for i in range(1, min(r, s) + 1))
+
+    @pytest.mark.parametrize("r, s", [(True, 2), (2, True), (2.0, 2), (0, 2), (2, -1)])
+    def test_clebsch_gordan_indices_need_positive_int_ranks(self, r, s):
+        with pytest.raises(ValueError, match="ranks must be positive integers"):
+            tensor_rank_indices(r, s)
 
     @given(bundle_objects(), bundle_objects())
     def test_multiplicative(self, a, b):

@@ -67,6 +67,22 @@ def test_oracle_check_with_json_loads_jordan_and_json(baseline):
     assert "ellbundle.kring" not in modules
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("summands", "E[2]*L[1/2,0]", "--max-power", "3"),
+        ("group", "E[3]*L[1/3,0]", "--json"),
+        ("oracle-check", "E[2]*L[1/3,0]", "E[2]", "--modulus", "3"),
+    ],
+)
+def test_verbs_of_the_paper_layers_load_no_dataclasses(baseline, args):
+    # Each verb builds a value type of kring or jordan.
+    code, _, modules = run("-m", "ellbundle", *args)
+    assert code == 0
+    assert {"ellbundle.kring", "ellbundle.jordan"} & modules
+    assert "dataclasses" not in modules - baseline
+
+
 def test_the_package_loads_a_layer_on_first_lookup():
     script = (
         "import sys, ellbundle\n"

@@ -135,6 +135,23 @@ class TestEvaluation:
         assert parse_object("~(E[2]*Ta)^2") == parse_object("(E[2]*Ta)^2").dual()
         assert parse_object("~(E[2]*Ta)^2") != parse_object("(E[2]*Ta)^2")
 
+    def test_power_chain_starts_from_its_base(self, monkeypatch):
+        import ellbundle.bundles
+
+        base = "(E[2] + 2*Tg)"  # a sum: evaluating it runs no product
+        cube, x = 2 * atiyah(2) + atiyah(4), parse_object(base)
+        calls = []
+        kernel = ellbundle.bundles._grouped_product
+
+        def spy(left, right):
+            calls.append(1)
+            return kernel(left, right)
+
+        monkeypatch.setattr(ellbundle.bundles, "_grouped_product", spy)
+        assert parse_object("E[2]^3") == cube and len(calls) == 2
+        assert parse_object(f"{base}^0") == UNIT
+        assert parse_object(f"{base}^1") == x and len(calls) == 2
+
     def test_power_of_one_rank_one_class_matches_the_product_chain(self):
         for base in ["O", "L[1/6,1/4]", "(3*L[-1/3,0])", "(2*Ta*L[1/2,0])", "~Tg"]:
             for power in range(5):

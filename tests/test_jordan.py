@@ -120,6 +120,20 @@ class TestExactRank:
     def test_tall_matrix(self):
         assert exact_rank([[1], [2], [3]]) == 1
 
+    @pytest.mark.parametrize(
+        "rows, name",
+        [
+            ([[0.5, 0], [0, 0.5]], "float"),
+            ([[1, 0], [0, True]], "bool"),
+            ([[1, None]], "NoneType"),
+            ([[Fraction(1, 2), "1"]], "str"),
+        ],
+    )
+    def test_refuses_entries_that_are_not_int_or_fraction(self, rows, name):
+        # int(0.5 * 1) would read the float matrix above as rank 0.
+        with pytest.raises(TypeError, match=f"matrix entries must be int or Fraction, not {name}$"):
+            exact_rank(rows)
+
 
 def test_oracle_does_not_call_the_clebsch_gordan_rule(monkeypatch):
     import ellbundle.bundles

@@ -228,7 +228,7 @@ class TestSummandClosure:
         sizes = []
         kernel = kring._grouped_support
 
-        def spy(left, right, rows=None):
+        def spy(left, right, rows):
             sizes.append(sum(bin(mask).count("1") for mask in left.values()))
             return kernel(left, right, rows)
 
