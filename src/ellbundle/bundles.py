@@ -33,10 +33,10 @@ are sums of ``E_r (x) L`` with ``L`` torsion.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping, TypeVar, Union
 
 from .picard import TRIVIAL, LineBundleClass
 
@@ -71,24 +71,25 @@ class _Frozen:
 
     def __init_subclass__(cls, fields: tuple[str, ...] = ()) -> None:
         cls._fields = fields
+        if fields:
+            get = attrgetter(*fields)
+            # attrgetter of one name returns the bare value, not a 1-tuple.
+            cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __init__(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -137,7 +138,7 @@ class Indecomposable(_Frozen, fields=("rank", "twist")):
         return f"E[{self.rank}]*{self.twist}"
 
 
-Coeff = TypeVar("Coeff", int, Fraction)
+Coeff = int | Fraction
 Groups = dict[LineBundleClass, dict[int, Coeff]]
 
 
@@ -215,7 +216,7 @@ class _Combination(_Frozen):
     """Indecomposables with coefficients, strictly sorted by ``sort_key`` and
     with no zero coefficient, so ``==`` decides equality.
 
-    A subclass names its one field of pairs (``field="summands"``), read
+    A subclass names its one field of pairs (``fields=("summands",)``), read
     through ``_pairs``, and gets the constructor.  ``_coerce`` converts a
     coefficient given to :meth:`of`, ``_valid`` accepts a stored one.  Only
     the constructor, which takes outside pairs, checks them:
@@ -223,25 +224,22 @@ class _Combination(_Frozen):
     coefficients, so its normal forms hold without a check.
     """
 
-    def __init_subclass__(cls, field: str) -> None:
-        cls._field, cls._fields = field, (field,)
-        cls._pairs = property(attrgetter(field))
-
     def __init__(self, pairs: tuple = ()) -> None:
         keys = [ind.sort_key() for ind, _ in pairs]
+        (field,) = self._fields
         if not all(k < l for k, l in zip(keys, keys[1:])):
-            raise ValueError(f"{self._field} must be strictly sorted")
+            raise ValueError(f"{field} must be strictly sorted")
         if not all(self._valid(coeff) for _, coeff in pairs):
-            raise ValueError(f"invalid coefficient in {self._field}")
-        object.__setattr__(self, self._field, pairs)
+            raise ValueError(f"invalid coefficient in {field}")
+        super().__init__(pairs)
+
+    _pairs = property(lambda self: getattr(self, self._fields[0]))
 
     @classmethod
     def of(
         cls,
-        items: Union[
-            Mapping[Indecomposable, Coeff],
-            Iterable[Union[Indecomposable, tuple[Indecomposable, Coeff]]],
-        ] = (),
+        items: Mapping[Indecomposable, Coeff]
+        | Iterable[Indecomposable | tuple[Indecomposable, Coeff]] = (),
     ):
         """The normal form of a mapping or of pairs; a bare indecomposable counts 1."""
 
@@ -271,7 +269,7 @@ class _Combination(_Frozen):
         rows.sort()
         pairs = tuple((Indecomposable._trusted(rank, twist), coeff) for rank, _, twist, coeff in rows)
         out = object.__new__(cls)
-        object.__setattr__(out, cls._field, pairs)
+        object.__setattr__(out, cls._fields[0], pairs)
         return out
 
     def _scaled(self, c: Coeff):
@@ -288,7 +286,7 @@ class _Combination(_Frozen):
         return self._from_groups(_by_twist(chain(self._pairs, other._pairs)))
 
 
-class BundleObject(_Combination, field="summands"):
+class BundleObject(_Combination, fields=("summands",)):
     """A direct sum of indecomposables in canonical (sorted multiset) form.
 
     The empty multiset is the zero object; ``+`` is direct sum, ``*`` is the

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .bundles import BundleObject, Indecomposable, hom_dim
-from .expr import ParseError, parse_object, print_canonical
+from .expr import ParseError, digit_limit_message, parse_object, print_canonical
 from .picard import LineBundleClass
 
 __all__ = ["main"]
@@ -212,7 +212,7 @@ def _dispatch(verb: str, texts: list[str], args: argparse.Namespace) -> Result:
     return code, {"verb": verb, "inputs": texts, **fields}, text
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -234,8 +234,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         message = str(exc)
         if "set_int_max_str_digits" in message:  # Python's int-to-text limit, hit by a result
-            limit = sys.get_int_max_str_digits()
-            message = f"result has more than {limit} digits (int-to-text limit {limit})"
+            message = digit_limit_message()
         print(f"error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
     print(output)

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from typing import NamedTuple
 
 from .bundles import UNIT, ZERO, BundleObject, atiyah
 from .picard import line_class
@@ -70,11 +70,7 @@ class ExprValidationError(ParseError):
 # -- tokenizer -------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    offset: int
-
+_Token = namedtuple("_Token", ("kind", "value", "offset"))
 
 _PUNCT = set("+*~^()[],/-")
 # ASCII only: str.isdigit and str.isalnum also accept '²' (which int()
@@ -248,6 +244,12 @@ def parse(text: str) -> tuple:
     return _Parser(text).parse()
 
 
+def digit_limit_message() -> str:
+    """The error for a result with more digits than Python converts to text."""
+    limit = sys.get_int_max_str_digits()
+    return f"result has more than {limit} digits (int-to-text limit {limit})"
+
+
 def evaluate(node: tuple) -> BundleObject:
     """Evaluate a syntax tree to a bundle object in normal form.
 
@@ -255,7 +257,8 @@ def evaluate(node: tuple) -> BundleObject:
     is normalized once over all its summands, and a tensor chain is folded
     from the left.  A power of a single rank-1 class is computed in closed
     form; any other power is a chain of products, since squaring general
-    objects was measured to be slower.
+    objects was measured to be slower.  A closed-form c^n with more digits
+    than Python converts to text is refused before it is computed.
     """
     head = node[0]
     if head == "E":
@@ -272,6 +275,10 @@ def evaluate(node: tuple) -> BundleObject:
         base, power = evaluate(node[1]), node[2]
         if len(base.summands) == 1 and base.summands[0][0].rank == 1:  # (c*L)^n = c^n * L^n
             (ind, count), = base.summands
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+            # c >= 2^(b-1), b its bit length, so c^n has over (b-1) * n * log10(2) digits.
+            if limit and (count.bit_length() - 1) * power > 4 * limit:
+                raise ValueError(digit_limit_message())
             return count ** power * atiyah(1, ind.twist ** power)
         return reduce(operator.mul, repeat(base, power - 1), base) if power else UNIT
     if head == "n*":

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
 
 from .bundles import BundleObject, _Frozen
 
@@ -94,7 +94,7 @@ def _insert(basis: dict[int, Vector], vec: Vector) -> None:
                 del vec[i]
 
 
-def exact_rank(rows: Sequence[Sequence[Union[int, Fraction]]]) -> int:
+def exact_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank over Q of a matrix of int or Fraction entries; any other entry raises TypeError.
 
     Each row is scaled to integers and inserted into a fraction-free echelon
@@ -190,7 +190,7 @@ class ProductObject(_Frozen, fields=("modulus", "components")):
     def of(
         cls,
         modulus: int,
-        items: Union[Mapping[Component, int], Iterable[Component]] = (),
+        items: Mapping[Component, int] | Iterable[Component] = (),
     ) -> "ProductObject":
         _check_modulus(modulus)
         acc: Counter[Component] = Counter()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
-from typing import Optional, Union
 
 from .bundles import (BundleObject, Groups, Indecomposable, Rows, _by_twist, _Combination,
                       _Frozen, _grouped_product, _grouped_support, _mask_ranks)
@@ -41,13 +40,13 @@ __all__ = [
 ]
 
 
-class RingElement(_Combination, field="terms"):
+class RingElement(_Combination, fields=("terms",)):
     """A finite rational combination of indecomposable bundle classes."""
 
     _valid = staticmethod(lambda coeff: type(coeff) is Fraction and coeff != 0)
 
     @staticmethod
-    def _coerce(coeff: Union[int, Fraction]) -> Fraction:
+    def _coerce(coeff: int | Fraction) -> Fraction:
         if type(coeff) is not int and type(coeff) is not Fraction:
             raise TypeError(f"ring coefficients must be int or Fraction, not {type(coeff).__name__}")
         return Fraction(coeff)
@@ -178,10 +177,7 @@ class ClosedForm(_Frozen, fields=("rank", "twist")):
     """
 
     def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
-        if type(rank) is not int or rank < 1:
-            raise ValueError("rank must be a positive integer")
-        if not isinstance(twist, LineBundleClass):
-            raise TypeError("the twist must be a LineBundleClass")
+        Indecomposable(rank, twist)  # the rank and twist checks of E_rank (x) twist
         if not twist.is_torsion:
             raise ValueError("the twist must have finite order")
         super().__init__(rank, twist)
@@ -217,7 +213,7 @@ class ClosedForm(_Frozen, fields=("rank", "twist")):
         return _DESCRIPTIONS[self.kind].format(m=self.order, L=self.twist)
 
 
-def closed_form_S(ind: Indecomposable) -> Optional[ClosedForm]:
+def closed_form_S(ind: Indecomposable) -> ClosedForm | None:
     """Closed form of S(E) for a generator with a torsion twist; None for a
     twist of infinite order, whose closure is not periodic in the twist."""
     if not ind.twist.is_torsion:

@@ -21,16 +21,13 @@ classes can be shared between threads without synchronisation.
 from __future__ import annotations
 
 import math
-import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 __all__ = ["INFINITE", "TRIVIAL", "LineBundleClass", "line_class"]
 
 INFINITE = math.inf
 """Order reported for classes with a nonempty free part."""
-
-_GEN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 FreePart = tuple[tuple[str, int], ...]
 
@@ -70,7 +67,8 @@ class LineBundleClass:
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("free part must be strictly sorted by generator name")
         for name, exp in free:
-            if not _GEN_NAME.match(name):
+            # [A-Za-z_][A-Za-z0-9_]*; str.isascii raises TypeError on a non-str.
+            if not (str.isascii(name) and name.isidentifier()):
                 raise ValueError(f"invalid generator name {name!r}")
             if type(exp) is not int or exp == 0:
                 raise ValueError("free exponents must be nonzero integers")
@@ -113,7 +111,7 @@ class LineBundleClass:
         """True iff the class has finite order (no free generators)."""
         return not self._key[3]
 
-    def order(self) -> Union[int, float]:
+    def order(self) -> int | float:
         """Order in Pic^0: the common denominator d, or INFINITE."""
         return INFINITE if self._key[3] else self._key[0]
 
@@ -174,9 +172,9 @@ TRIVIAL = LineBundleClass()
 
 
 def line_class(
-    t1: Union[int, str, Fraction] = 0,
-    t2: Union[int, str, Fraction] = 0,
-    free: Union[Mapping[str, int], Iterable[tuple[str, int]], None] = None,
+    t1: int | str | Fraction = 0,
+    t2: int | str | Fraction = 0,
+    free: Mapping[str, int] | Iterable[tuple[str, int]] | None = None,
 ) -> LineBundleClass:
     """Build a canonical class from arbitrary exact rational coordinates.
 

@@ -245,6 +245,22 @@ class TestLongInput:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[1]\n", "")
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit"
+    )
+    def test_unprintable_power_of_a_line_bundle_class_is_refused_at_once(self):
+        # classify never prints the multiplicity 2^(10^11), so only the
+        # evaluator's bound stops it from computing that number.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "ellbundle", "classify", "(2*O)^100000000000"],
+            capture_output=True, env=env, text=True, timeout=10,
+        )
+        limit = sys.get_int_max_str_digits()
+        error = f"error: result has more than {limit} digits (int-to-text limit {limit})\n"
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", error)
+
     def test_long_summand_closure_of_e2(self):
         # One closure step is a few shifts of a rank bitmask, so 8000 powers
         # of E[2] (ranks 1..8001) finish well within the timeout.

@@ -2,7 +2,9 @@
 
 Each case runs in a fresh interpreter under ``-X importtime``, whose stderr
 names every module the process imports.  A bare ``python -c pass`` gives
-the baseline that interpreter start-up loads anyway.
+the baseline that interpreter start-up loads anyway.  That baseline includes
+what the ``.pth`` files of site-packages import, which can be ``typing``, so
+the probes for ``typing`` run under ``-S``, without the site module.
 """
 
 import os
@@ -81,6 +83,21 @@ def test_verbs_of_the_paper_layers_load_no_dataclasses(baseline, args):
     assert code == 0
     assert {"ellbundle.kring", "ellbundle.jordan"} & modules
     assert "dataclasses" not in modules - baseline
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("rank", "E[2]"),
+        ("summands", "E[2]*L[1/2,0]", "--max-power", "3"),
+        ("oracle-check", "E[2]*L[1/3,0]", "E[2]", "--modulus", "3", "--json"),
+    ],
+)
+def test_verbs_never_import_typing(args):
+    code, _, modules = run("-S", "-m", "ellbundle", *args)
+    assert code == 0
+    assert "ellbundle.cli" in modules
+    assert "typing" not in modules
 
 
 def test_the_package_loads_a_layer_on_first_lookup():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,24 @@ class TestEvaluation:
                 chain = "*".join([base] * power) if power else "O"
                 assert parse_object(f"{base}^{power}") == parse_object(chain), (base, power)
         assert parse_object("Tg^1000001") == atiyah(1, line_class(free={"g": 1000001}))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit")
+    def test_unprintable_power_of_one_rank_one_class_is_refused(self):
+        # Refused once (bit_length(c) - 1) * n > 4 * limit, so a refused c^n
+        # has more digits than the limit; a limit of 0 refuses nothing.
+        limit = sys.get_int_max_str_digits()
+        message = f"result has more than {limit} digits \\(int-to-text limit {limit}\\)"
+        with pytest.raises(ValueError, match=message):
+            parse_object(f"(2*Tg)^{4 * limit + 1}")
+        with pytest.raises(ValueError, match=message):
+            parse_object(f"(5*O)^{2 * limit + 1}")
+        assert parse_object(f"(2*O)^{4 * limit}") == 2 ** (4 * limit) * UNIT
+        assert parse_object("O^100000000000") == UNIT
+        try:
+            sys.set_int_max_str_digits(0)
+            assert parse_object("(2*O)^20000") == 2 ** 20000 * UNIT
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_zero_multiplicity(self):
         assert parse_object("0*E[2]") == ZERO

@@ -68,6 +68,13 @@ def test_constructor_rejects_non_canonical():
         LineBundleClass(free=(("h", 1), ("g", 1)))
     with pytest.raises(ValueError):
         line_class(free={"bad name": 1})
+    # Generator names are ASCII identifiers: [A-Za-z_][A-Za-z0-9_]*.
+    for name in ["", "1g", "g-1", "gä", "g\n", "g\u0663"]:
+        with pytest.raises(ValueError, match="invalid generator name"):
+            LineBundleClass(free=((name, 1),))
+    assert LineBundleClass(free=(("_G9", 1),)).free == (("_G9", 1),)
+    with pytest.raises(TypeError):
+        LineBundleClass(free=((5, 1),))
 
 
 def test_str_forms():

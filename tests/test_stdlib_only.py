@@ -1,4 +1,6 @@
-"""The package imports nothing outside the standard library and itself."""
+"""The package imports nothing outside the standard library and itself, and
+neither ``typing`` nor ``re``: a cold process would import ``typing``, and
+compile a pattern, only for the package."""
 
 import ast
 import sys
@@ -28,3 +30,13 @@ def test_package_imports_only_stdlib_and_itself():
         if (level == 0 and module.split(".")[0] not in sys.stdlib_module_names) or level > 1
     ]
     assert outside == []
+
+
+def test_package_imports_neither_typing_nor_re():
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, level, module in imports(path)
+        if level == 0 and module.split(".")[0] in {"typing", "re"}
+    ]
+    assert found == []

@@ -2,7 +2,8 @@
 
 The types built on ``bundles._Frozen`` (``Indecomposable``, ``BundleObject``,
 ``RingElement``, ``SummandClosure``, ``ClosedForm``, ``TannakianLabel`` and
-``ProductObject``) and the tokenizer's ``_Token`` behave as frozen
+``ProductObject``), each declaring its fields as ``fields=(...)``, and the
+tokenizer's ``_Token``, a ``collections.namedtuple``, behave as frozen
 dataclasses would: fields cannot be assigned or deleted, equality holds only
 within one class, the hash is that of the field tuple (which also fixes the
 iteration order of frozensets of them), the repr has the ``Name(field=...)``
