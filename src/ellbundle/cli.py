@@ -8,15 +8,21 @@ no decimal forms are accepted or produced.
 Exit codes: 0 success, 1 failed oracle check, 2 bad usage or expression
 syntax/validation error, 3 domain error (zero object where a generator is
 needed, twist outside the oracle's cyclic subgroup, and the like), an
-expression nested deeper than the recursion limit, or a result with more
-digits than Python converts to text.
+expression nested deeper than the recursion limit, a result with more
+digits than Python converts to text, or output that cannot be written (a
+closed pipe, a full device).
+
+argparse defines the grammar, the help and every usage error, but a process
+builds its parser only for help and for an argv that ``_fast_args`` does not
+take: a verb, one run of expressions and that verb's own options.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from .bundles import BundleObject, Indecomposable, hom_dim
 from .expr import ParseError, digit_limit_message, parse_object, print_canonical
@@ -32,7 +38,15 @@ EXIT_DOMAIN = 3
 Result = tuple[int, dict, str]  # (exit code, record fields, plain text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# verb -> (option, metavar, default, help) of its one integer option.
+_INT_OPTIONS = {
+    "summands": ("--max-power", "N", 8, "tensor power cutoff for summand enumeration (default 8)"),
+    "oracle-check": ("--modulus", "M", None, "torsion order for the oracle-check transport"),
+}
+
+
+def _build_parser():
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a structured JSON record")
     common.add_argument("--file", metavar="PATH", help="read expressions from PATH, one per line")
@@ -44,18 +58,53 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb, (_, help_text, _) in _VERBS.items():
         verb_parser = sub.add_parser(verb, parents=[common], help=help_text)
         verb_parser.add_argument("exprs", nargs="*", metavar="EXPR")
-    sub.choices["summands"].add_argument(
-        "--max-power", type=int, default=8, metavar="N",
-        help="tensor power cutoff for summand enumeration (default 8)",
-    )
-    sub.choices["oracle-check"].add_argument(
-        "--modulus", type=int, metavar="M",
-        help="torsion order for the oracle-check transport",
-    )
+    for verb, (option, metavar, default, help_text) in _INT_OPTIONS.items():
+        sub.choices[verb].add_argument(
+            option, type=int, default=default, metavar=metavar, help=help_text
+        )
     return parser
 
 
-def _collect_expressions(args: argparse.Namespace) -> list[str]:
+def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``_build_parser().parse_args(argv)`` gives a well-formed query.
+
+    Takes a verb, then one run of arguments that do not start with '-', with
+    the verb's options before or after it: ``--json``, ``--file PATH`` and
+    its integer option with ASCII digits.  No option value may start with
+    '-'.  Returns None for any other argv, which argparse then parses.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    args = SimpleNamespace(verb=argv[0], json=False, file=None, exprs=[])
+    option, _, default, _ = _INT_OPTIONS.get(argv[0], ("", None, None, None))
+    dest = option[2:].replace("-", "_")  # the attribute argparse names after it
+    if option:
+        setattr(args, dest, default)
+    tokens = iter(argv[1:])
+    run_ended = False
+    for token in tokens:
+        if not token.startswith("-"):
+            if run_ended:  # a second run of expressions, which argparse refuses
+                return None
+            args.exprs.append(token)
+            continue
+        run_ended = bool(args.exprs)
+        if token == "--json":
+            args.json = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if token == "--file":
+            args.file = value
+        elif token == option and value.isascii() and value.isdigit():
+            setattr(args, dest, int(value))
+        else:
+            return None
+    return args
+
+
+def _collect_expressions(args: SimpleNamespace) -> list[str]:
     arity = _VERBS[args.verb][0]
     if args.file is not None:
         if args.exprs:
@@ -109,12 +158,12 @@ def _value(value: int) -> Result:
     return EXIT_OK, {"value": value}, str(value)
 
 
-def _det(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _det(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     det = objects[0].det()
     return EXIT_OK, {"text": str(det), "line_class": _twist_record(det)}, str(det)
 
 
-def _classify(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _classify(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     obj = objects[0]
     flags = {
         "finite": obj.is_finite, "semifinite": obj.is_semifinite, "unipotent": obj.is_unipotent
@@ -122,7 +171,7 @@ def _classify(objects: list[BundleObject], args: argparse.Namespace) -> Result:
     return EXIT_OK, flags, " ".join(f"{name}={_bool(flag)}" for name, flag in flags.items())
 
 
-def _summands(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _summands(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .kring import summand_closure
     if args.max_power < 1:
         raise _UsageError("--max-power must be at least 1")
@@ -137,7 +186,7 @@ def _summands(objects: list[BundleObject], args: argparse.Namespace) -> Result:
     return EXIT_OK, fields, "\n".join(lines)
 
 
-def _closedform(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _closedform(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .kring import closed_form_S
     form = closed_form_S(_single_class(objects[0]))
     if form is None:
@@ -152,18 +201,18 @@ def _closedform(objects: list[BundleObject], args: argparse.Namespace) -> Result
     return EXIT_OK, fields, form.description()
 
 
-def _group(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _group(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .kring import tannakian_label
     label = tannakian_label(_single_class(objects[0]))
     return EXIT_OK, {"label": str(label), **vars(label)}, str(label)
 
 
-def _ringdim(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _ringdim(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .kring import krull_dim_class
     return _value(krull_dim_class(objects[0]))
 
 
-def _oracle_check(objects: list[BundleObject], args: argparse.Namespace) -> Result:
+def _oracle_check(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .jordan import phi_transport, product_tensor
     if args.modulus is None:
         raise _UsageError("oracle-check requires --modulus")
@@ -205,7 +254,7 @@ _VERBS = {
 }
 
 
-def _dispatch(verb: str, texts: list[str], args: argparse.Namespace) -> Result:
+def _dispatch(verb: str, texts: list[str], args: SimpleNamespace) -> Result:
     """Run a verb; returns (exit code, json record, plain text)."""
     objects = [parse_object(text) for text in texts]
     code, fields, text = _VERBS[verb][2](objects, args)
@@ -213,8 +262,9 @@ def _dispatch(verb: str, texts: list[str], args: argparse.Namespace) -> Result:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
     try:
         texts = _collect_expressions(args)
         code, record, text = _dispatch(args.verb, texts, args)
@@ -237,7 +287,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = digit_limit_message()
         print(f"error: {message}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full device
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # The flush at exit retries the unwritten output: send it to os.devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_DOMAIN
     return code
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellbundle.cli import main
+from ellbundle import cli
+from ellbundle.cli import _VERBS, _build_parser, main
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -15,6 +19,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 class TestVerbs:
@@ -237,11 +247,9 @@ class TestLongInput:
 
     def test_huge_power_of_a_line_bundle_class(self):
         # (c*L)^n is one class, computed without a chain of n products.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         done = subprocess.run(
             [sys.executable, "-m", "ellbundle", "normalize", "O^10000000"],
-            capture_output=True, env=env, text=True, timeout=10,
+            capture_output=True, env=child_env(), text=True, timeout=10,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[1]\n", "")
 
@@ -251,11 +259,9 @@ class TestLongInput:
     def test_unprintable_power_of_a_line_bundle_class_is_refused_at_once(self):
         # classify never prints the multiplicity 2^(10^11), so only the
         # evaluator's bound stops it from computing that number.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         done = subprocess.run(
             [sys.executable, "-m", "ellbundle", "classify", "(2*O)^100000000000"],
-            capture_output=True, env=env, text=True, timeout=10,
+            capture_output=True, env=child_env(), text=True, timeout=10,
         )
         limit = sys.get_int_max_str_digits()
         error = f"error: result has more than {limit} digits (int-to-text limit {limit})\n"
@@ -264,11 +270,9 @@ class TestLongInput:
     def test_long_summand_closure_of_e2(self):
         # One closure step is a few shifts of a rank bitmask, so 8000 powers
         # of E[2] (ranks 1..8001) finish well within the timeout.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         done = subprocess.run(
             [sys.executable, "-m", "ellbundle", "summands", "E[2]", "--max-power", "8000"],
-            capture_output=True, env=env, text=True, timeout=10,
+            capture_output=True, env=child_env(), text=True, timeout=10,
         )
         lines = done.stdout.splitlines()
         assert (done.returncode, done.stderr) == (0, "")
@@ -278,12 +282,10 @@ class TestLongInput:
     def test_329_nested_parentheses(self):
         # The deepest nesting the parser takes from a top-level script, run in
         # a fresh process so the test runner's own frames do not count.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         script = "import sys; from ellbundle import parse_object; print(parse_object(sys.argv[1]))"
         text = "(" * 329 + "E[2]*O + Z" + ")" * 329
         done = subprocess.run(
-            [sys.executable, "-c", script, text], capture_output=True, env=env, text=True
+            [sys.executable, "-c", script, text], capture_output=True, env=child_env(), text=True
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[2]\n", "")
 
@@ -301,3 +303,144 @@ class TestFileInput:
         code, _, err = run(capsys, "rank", "E[1]", "--file", str(path))
         assert code == 2
         assert "not both" in err
+
+
+class TestOutputFailure:
+    """Output that cannot be written is one line on stderr and exit 3."""
+
+    def test_closed_pipe(self):
+        command = [sys.executable, "-m", "ellbundle", "summands", "E[2]", "--max-power", "20000"]
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
+        ) as proc:
+            # 20001 lines are far more than a pipe buffers, so the child is
+            # still writing when the read end closes.
+            assert proc.stdout.readline() == b"E[1]\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (3, b"error: cannot write output: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "ellbundle", "rank", "E[2]"],
+                stdout=full, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=10,
+            )
+        error = "error: cannot write output: [Errno 28] No space left on device\n"
+        assert (done.returncode, done.stderr) == (3, error)
+
+
+def run_caught(argv) -> tuple:
+    """(exit code, stdout, stderr) of main, with argparse's SystemExit caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+USAGE = "usage: ellbundle [-h] VERB ...\n"
+SUMMANDS_E2_3 = "E[1]\nE[2]\nE[3]\nE[4]\nstabilized: false\n"
+# argv argparse owns, with (exit code, stdout, stderr) as main gave them before
+# it had a fast path: Python 3.11, COLUMNS=80.
+ARGPARSE_OWNED = {
+    "help": (["-h"], (0, USAGE + """
+Exact calculator for degree-0 vector bundles on an elliptic curve.
+
+positional arguments:
+  VERB
+    normalize   canonical normal form of an expression
+    tensor      tensor product of two objects
+    dual        dual object
+    rank        total rank
+    det         determinant line bundle class
+    hom         dimension of the Hom space
+    gamma       dimension of the space of global sections
+    jh          Jordan-Holder factors (semisimplification)
+    classify    finite / semifinite / unipotent flags
+    summands    indecomposable summands of tensor powers
+    closedform  closed form of the summand closure, if known
+    group       Tannakian group label of a single indecomposable
+    ringdim     Krull dimension class of the generated subring
+    oracle-check
+                compare the tensor against the linear-algebra oracle
+
+options:
+  -h, --help    show this help message and exit
+""", "")),
+    "verb-help": (["rank", "-h"], (0, """\
+usage: ellbundle rank [-h] [--json] [--file PATH] [EXPR ...]
+
+positional arguments:
+  EXPR
+
+options:
+  -h, --help   show this help message and exit
+  --json       emit a structured JSON record
+  --file PATH  read expressions from PATH, one per line
+""", "")),
+    "unknown-verb": (["nosuchverb", "E[2]"], (2, "", USAGE + (
+        "ellbundle: error: argument VERB: invalid choice: 'nosuchverb' (choose from "
+        "'normalize', 'tensor', 'dual', 'rank', 'det', 'hom', 'gamma', 'jh', 'classify', "
+        "'summands', 'closedform', 'group', 'ringdim', 'oracle-check')\n"
+    ))),
+    "empty": ([], (2, "", USAGE + "ellbundle: error: the following arguments are required: VERB\n")),
+    "bad-int": (["summands", "E[2]", "--max-power", "x"], (2, "", (
+        "usage: ellbundle summands [-h] [--json] [--file PATH] [--max-power N]\n"
+        "                          [EXPR ...]\n"
+        "ellbundle summands: error: argument --max-power: invalid int value: 'x'\n"
+    ))),
+    "split-run": (["tensor", "E[2]", "--json", "E[2]"], (
+        2, "", USAGE + "ellbundle: error: unrecognized arguments: E[2]\n"
+    )),
+    "abbreviation": (["summands", "E[2]", "--max-p", "3"], (0, SUMMANDS_E2_3, "")),
+    "equals": (["summands", "E[2]", "--max-power=3"], (0, SUMMANDS_E2_3, "")),
+    "double-dash": (["rank", "--", "E[2]"], (0, "2\n", "")),
+}
+
+
+class TestArgparseOwned:
+    """The fast path takes well-formed queries only; argparse answers the rest."""
+
+    @pytest.mark.parametrize("argv", [v[0] for v in ARGPARSE_OWNED.values()], ids=list(ARGPARSE_OWNED))
+    def test_same_answer_as_argparse_alone(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        answer = run_caught(argv)
+        monkeypatch.setattr(cli, "_fast_args", lambda argv: None, raising=False)
+        assert answer == run_caught(argv)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="texts recorded with Python 3.11")
+    @pytest.mark.parametrize("argv, answer", list(ARGPARSE_OWNED.values()), ids=list(ARGPARSE_OWNED))
+    def test_recorded_answer(self, monkeypatch, argv, answer):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_caught(argv) == answer
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "E[2]"],
+            ["tensor", "--json", "E[2]", "L[1/2,0]"],
+            ["summands", "E[2]", "--max-power", "3", "--json"],
+            ["oracle-check", "E[2]", "E[1]", "--json", "--modulus", "3"],
+            ["hom", "--file", "exprs.txt"],
+        ],
+    )
+    def test_well_formed_queries_take_the_fast_path(self, argv):
+        assert vars(cli._fast_args(argv)) == vars(_build_parser().parse_args(argv))
+
+    TOKENS = [*_VERBS, "nosuchverb", "--json", "--file", "--max-power", "--modulus", "--max-p",
+              "--max-power=3", "-h", "--", "-3", "3", "٣", "", "E[2]", "L[1/2,0]"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=7))
+    def test_fast_path_agrees_with_argparse(self, argv):
+        fast = cli._fast_args(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(_build_parser().parse_args(argv))
+            except SystemExit:
+                parsed = None
+        assert fast is None or vars(fast) == parsed

@@ -5,6 +5,8 @@ names every module the process imports.  A bare ``python -c pass`` gives
 the baseline that interpreter start-up loads anyway.  That baseline includes
 what the ``.pth`` files of site-packages import, which can be ``typing``, so
 the probes for ``typing`` run under ``-S``, without the site module.
+argparse, with the ``gettext`` and ``locale`` it pulls in, is loaded only for
+help and for argv the CLI's fast path leaves to it.
 """
 
 import os
@@ -19,8 +21,8 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 HEAVY = {"ellbundle.kring", "ellbundle.jordan", "json", "dataclasses", "string"}
 
 
-def run(*args: str) -> tuple[int, str, set[str]]:
-    """Exit code, stdout and imported modules of a fresh interpreter."""
+def run_full(*args: str) -> tuple[int, str, str, set[str]]:
+    """Exit code, stdout, stderr and imported modules of a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
@@ -31,7 +33,14 @@ def run(*args: str) -> tuple[int, str, set[str]]:
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
     }
-    return done.returncode, done.stdout, modules
+    err = "".join(line + "\n" for line in done.stderr.splitlines() if not line.startswith("import time:"))
+    return done.returncode, done.stdout, err, modules
+
+
+def run(*args: str) -> tuple[int, str, set[str]]:
+    """Exit code, stdout and imported modules of a fresh interpreter."""
+    code, out, _, modules = run_full(*args)
+    return code, out, modules
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +107,29 @@ def test_verbs_never_import_typing(args):
     assert code == 0
     assert "ellbundle.cli" in modules
     assert "typing" not in modules
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_rank_builds_no_argument_parser(baseline, flags):
+    code, out, modules = run(*flags, "-m", "ellbundle", "rank", "E[2]")
+    assert (code, out) == (0, "2\n")
+    assert "ellbundle.cli" in modules
+    # Under -S the baseline holds what site imports, so the probe takes all.
+    seen = modules if flags else modules - baseline
+    assert {"argparse", "gettext", "locale"} & seen == set()
+
+
+def test_help_still_reaches_argparse():
+    code, out, err, modules = run_full("-m", "ellbundle", "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ellbundle [-h] VERB ...\n")
+    assert "argparse" in modules
+
+
+def test_unknown_verb_still_reaches_argparse():
+    code, out, err, _ = run_full("-m", "ellbundle", "nosuchverb")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ellbundle")
 
 
 def test_the_package_loads_a_layer_on_first_lookup():

@@ -40,3 +40,21 @@ def test_package_imports_neither_typing_nor_re():
         if level == 0 and module.split(".")[0] in {"typing", "re"}
     ]
     assert found == []
+
+
+def test_argparse_is_imported_only_where_the_parser_is_built():
+    # A well-formed query never builds the parser, so it never imports argparse.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    build = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_build_parser"
+    )
+    inside = range(build.lineno, build.end_lineno + 1)
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, level, module in imports(path)
+        if level == 0 and module == "argparse"
+        and not (path.name == "cli.py" and line in inside)
+    ]
+    assert found == []
