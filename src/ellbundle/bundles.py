@@ -225,8 +225,10 @@ class _Combination(_Frozen):
     """
 
     def __init__(self, pairs: tuple = ()) -> None:
-        keys = [ind.sort_key() for ind, _ in pairs]
         (field,) = self._fields
+        if type(pairs) is not tuple or not all(isinstance(ind, Indecomposable) for ind, _ in pairs):
+            raise TypeError(f"{field} must be a tuple of (Indecomposable, coefficient) pairs")
+        keys = [ind.sort_key() for ind, _ in pairs]
         if not all(k < l for k, l in zip(keys, keys[1:])):
             raise ValueError(f"{field} must be strictly sorted")
         if not all(self._valid(coeff) for _, coeff in pairs):

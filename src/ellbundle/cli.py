@@ -5,12 +5,13 @@ canonical text by default, or a flat JSON record under --json so that
 downstream tools never need an expression parser.  All numeric I/O is exact;
 no decimal forms are accepted or produced.
 
-Exit codes: 0 success, 1 failed oracle check, 2 bad usage or expression
-syntax/validation error, 3 domain error (zero object where a generator is
-needed, twist outside the oracle's cyclic subgroup, and the like), an
-expression nested deeper than the recursion limit, a result with more
-digits than Python converts to text, or output that cannot be written (a
-closed pipe, a full device).
+Exit codes: 0 success, 1 failed oracle check and nothing else, 2 bad usage
+or expression syntax/validation error, 3 domain error (zero object where a
+generator is needed, twist outside the oracle's cyclic subgroup, and the
+like), an expression nested deeper than the recursion limit, a result with
+more digits than Python converts to text, or an answer that cannot be
+written (a closed pipe, a full device).  An error line that cannot be
+written keeps its own code.
 
 argparse defines the grammar, the help and every usage error, but a process
 builds its parser only for help and for an argv that ``_fast_args`` does not
@@ -22,6 +23,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Sequence
+from io import TextIOBase
 from types import SimpleNamespace
 
 from .bundles import BundleObject, Indecomposable, hom_dim
@@ -38,13 +40,6 @@ EXIT_DOMAIN = 3
 Result = tuple[int, dict, str]  # (exit code, record fields, plain text)
 
 
-# verb -> (option, metavar, default, help) of its one integer option.
-_INT_OPTIONS = {
-    "summands": ("--max-power", "N", 8, "tensor power cutoff for summand enumeration (default 8)"),
-    "oracle-check": ("--modulus", "M", None, "torsion order for the oracle-check transport"),
-}
-
-
 def _build_parser():
     import argparse
     common = argparse.ArgumentParser(add_help=False)
@@ -55,14 +50,17 @@ def _build_parser():
         description="Exact calculator for degree-0 vector bundles on an elliptic curve.",
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
-    for verb, (_, help_text, _) in _VERBS.items():
+    for verb, (_, help_text, _, *int_option) in _VERBS.items():
         verb_parser = sub.add_parser(verb, parents=[common], help=help_text)
         verb_parser.add_argument("exprs", nargs="*", metavar="EXPR")
-    for verb, (option, metavar, default, help_text) in _INT_OPTIONS.items():
-        sub.choices[verb].add_argument(
-            option, type=int, default=default, metavar=metavar, help=help_text
-        )
+        for option, metavar, default, text in int_option:
+            verb_parser.add_argument(option, type=int, default=default, metavar=metavar, help=text)
     return parser
+
+
+def _dest(option: str) -> str:
+    """The attribute argparse names after an option."""
+    return option[2:].replace("-", "_")
 
 
 def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -76,10 +74,9 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _VERBS:
         return None
     args = SimpleNamespace(verb=argv[0], json=False, file=None, exprs=[])
-    option, _, default, _ = _INT_OPTIONS.get(argv[0], ("", None, None, None))
-    dest = option[2:].replace("-", "_")  # the attribute argparse names after it
-    if option:
-        setattr(args, dest, default)
+    option = None  # the verb's integer option, if it has one
+    for option, _, default, _ in _VERBS[argv[0]][3:]:
+        setattr(args, _dest(option), default)
     tokens = iter(argv[1:])
     run_ended = False
     for token in tokens:
@@ -98,7 +95,7 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
         if token == "--file":
             args.file = value
         elif token == option and value.isascii() and value.isdigit():
-            setattr(args, dest, int(value))
+            setattr(args, _dest(option), int(value))
         else:
             return None
     return args
@@ -173,8 +170,6 @@ def _classify(objects: list[BundleObject], args: SimpleNamespace) -> Result:
 
 def _summands(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .kring import summand_closure
-    if args.max_power < 1:
-        raise _UsageError("--max-power must be at least 1")
     closure = summand_closure(objects[0], args.max_power)
     ordered = sorted(closure.classes, key=Indecomposable.sort_key)
     fields = {
@@ -214,10 +209,6 @@ def _ringdim(objects: list[BundleObject], args: SimpleNamespace) -> Result:
 
 def _oracle_check(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     from .jordan import phi_transport, product_tensor
-    if args.modulus is None:
-        raise _UsageError("oracle-check requires --modulus")
-    if args.modulus < 1:
-        raise _UsageError("--modulus must be at least 1")
     modulus = args.modulus
     lhs = phi_transport(objects[0] * objects[1], modulus)
     rhs = product_tensor(phi_transport(objects[0], modulus), phi_transport(objects[1], modulus))
@@ -231,9 +222,11 @@ def _oracle_check(objects: list[BundleObject], args: SimpleNamespace) -> Result:
     return EXIT_CHECK_FAILED, fields, text
 
 
-# verb -> (arity, help, handler); a handler maps the parsed objects and the
-# options to a Result.  Handlers import kring and jordan themselves, and main
-# imports json only under --json, so a process loads only what its verb needs.
+# verb -> (arity, help, handler[, int option]); a handler maps the parsed
+# objects and the options to a Result.  The optional entry is the verb's one
+# integer option as (option, metavar, default, help); a default of None makes
+# it required.  Handlers import kring and jordan themselves, and json is
+# imported only under --json, so a process loads only what its verb needs.
 _VERBS = {
     "normalize": (1, "canonical normal form of an expression", lambda o, a: _object(o[0])),
     "tensor": (2, "tensor product of two objects", lambda o, a: _object(o[0] * o[1])),
@@ -246,58 +239,63 @@ _VERBS = {
     "jh": (1, "Jordan-Holder factors (semisimplification)",
            lambda o, a: _object(o[0].jh_factors())),
     "classify": (1, "finite / semifinite / unipotent flags", _classify),
-    "summands": (1, "indecomposable summands of tensor powers", _summands),
+    "summands": (1, "indecomposable summands of tensor powers", _summands,
+                 ("--max-power", "N", 8, "tensor power cutoff for summand enumeration (default 8)")),
     "closedform": (1, "closed form of the summand closure, if known", _closedform),
     "group": (1, "Tannakian group label of a single indecomposable", _group),
     "ringdim": (1, "Krull dimension class of the generated subring", _ringdim),
-    "oracle-check": (2, "compare the tensor against the linear-algebra oracle", _oracle_check),
+    "oracle-check": (2, "compare the tensor against the linear-algebra oracle", _oracle_check,
+                     ("--modulus", "M", None, "torsion order for the oracle-check transport")),
 }
 
 
-def _dispatch(verb: str, texts: list[str], args: SimpleNamespace) -> Result:
-    """Run a verb; returns (exit code, json record, plain text)."""
-    objects = [parse_object(text) for text in texts]
-    code, fields, text = _VERBS[verb][2](objects, args)
-    return code, {"verb": verb, "inputs": texts, **fields}, text
+def _answer(args: SimpleNamespace) -> tuple[int, str, TextIOBase]:
+    """Run a query: (exit code, text, the stream it goes to)."""
+    try:
+        texts = _collect_expressions(args)
+        objects = [parse_object(text) for text in texts]
+        for option, _, _, _ in _VERBS[args.verb][3:]:  # after parsing: a bad expression wins
+            value = getattr(args, _dest(option))
+            if value is None:
+                raise _UsageError(f"{args.verb} requires {option}")
+            if value < 1:
+                raise _UsageError(f"{option} must be at least 1")
+        code, fields, text = _VERBS[args.verb][2](objects, args)
+        if args.json:
+            import json
+            text = json.dumps({"verb": args.verb, "inputs": texts, **fields}, sort_keys=True)
+        return code, text, sys.stdout
+    except (_UsageError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable --file
+        return EXIT_PARSE, f"usage error: {exc}", sys.stderr
+    except ParseError as exc:
+        return EXIT_PARSE, f"parse error: {exc}", sys.stderr
+    except RecursionError:  # parser and evaluator recurse once per nesting level
+        limit = sys.getrecursionlimit()
+        return EXIT_DOMAIN, f"error: expression nested too deeply (recursion limit {limit})", sys.stderr
+    except (ValueError, ArithmeticError) as exc:
+        message = str(exc)
+        if "set_int_max_str_digits" in message:  # Python's int-to-text limit, hit by a result
+            message = digit_limit_message()
+        return EXIT_DOMAIN, f"error: {message}", sys.stderr
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_args(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
-    try:
-        texts = _collect_expressions(args)
-        code, record, text = _dispatch(args.verb, texts, args)
-        if args.json:
-            import json
-        output = json.dumps(record, sort_keys=True) if args.json else text
-    except (_UsageError, OSError, UnicodeDecodeError) as exc:  # the last two: unreadable --file
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except RecursionError:  # parser and evaluator recurse once per nesting level
-        limit = sys.getrecursionlimit()
-        print(f"error: expression nested too deeply (recursion limit {limit})", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, ArithmeticError) as exc:
-        message = str(exc)
-        if "set_int_max_str_digits" in message:  # Python's int-to-text limit, hit by a result
-            message = digit_limit_message()
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
-        print(output)
-        sys.stdout.flush()
-    except OSError as exc:  # a closed pipe or a full device
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        # The flush at exit retries the unwritten output: send it to os.devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_DOMAIN
-    return code
+    code, text, stream = _answer(args)
+    while True:
+        try:
+            print(text, file=stream, flush=True)
+            return code
+        except OSError as exc:  # a closed pipe or a full device
+            # The flush at exit retries the unwritten text: send it to os.devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+            if stream is sys.stderr:  # a lost error line keeps its own code
+                return code
+            code, text, stream = EXIT_DOMAIN, f"error: cannot write output: {exc}", sys.stderr
 
 
 if __name__ == "__main__":

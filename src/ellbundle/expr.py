@@ -131,12 +131,16 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.index]
 
-    def take(self, kind: str) -> _Token:
-        token = self.peek()
+    def accept(self, kind: str) -> _Token | None:
+        """Consume and return the next token if it has this kind, else None."""
+        token = self.tokens[self.index]
         if token.kind != kind:
-            self.fail(frozenset({kind}))
+            return None
         self.index += 1
         return token
+
+    def take(self, kind: str) -> _Token:
+        return self.accept(kind) or self.fail(frozenset({kind}))
 
     def fail(self, expected: frozenset[str]):
         token = self.peek()
@@ -168,73 +172,58 @@ class _Parser:
     # inline, since a shared helper would cost stack depth per '(' level.
     def expr(self) -> tuple:
         args = [self.term()]
-        while self.peek().kind == "'+'":
-            self.take("'+'")
+        while self.accept("'+'"):
             args.append(self.term())
         return ("+", *args) if len(args) > 1 else args[0]
 
     def term(self) -> tuple:
         args = [self.factor()]
-        while self.peek().kind == "'*'":
-            self.take("'*'")
+        while self.accept("'*'"):
             args.append(self.factor())
         return ("*", *args) if len(args) > 1 else args[0]
 
     def factor(self) -> tuple:
-        token = self.peek()
-        if token.kind == "'~'":
-            self.take("'~'")
+        if self.accept("'~'"):
             return ("~", self.factor())
-        if token.kind == "INT":
+        if self.peek().kind == "INT":
             count = self.integer()
             self.take("'*'")
             return ("n*", count, self.factor())
-        if token.kind == "'('":
-            self.take("'('")
+        if self.accept("'('"):
             node = self.expr()
             self.take("')'")
         else:
             node = self.atom()
-        if self.peek().kind == "'^'":
-            self.take("'^'")
+        if self.accept("'^'"):
             return ("^", node, self.integer())
         return node
 
     def atom(self) -> tuple:
-        token = self.peek()
-        if token.kind == "E":
-            self.take("E")
+        if self.accept("E"):
             self.take("'['")
             rank = self.integer(1, "rank must be at least 1")
             self.take("']'")
             return ("E", rank)
-        if token.kind == "L":
-            self.take("L")
+        if self.accept("L"):
             self.take("'['")
             t1 = self.fraction()
             self.take("','")
             t2 = self.fraction()
             self.take("']'")
             return ("L", t1, t2)
-        if token.kind == "T<name>":
-            self.take("T<name>")
+        token = self.accept("T<name>")
+        if token:
             return ("T", token.value)
-        if token.kind == "O":
-            self.take("O")
+        if self.accept("O"):
             return ("E", 1)
-        if token.kind == "Z":
-            self.take("Z")
+        if self.accept("Z"):
             return ("Z",)
         self.fail(_ATOM_EXPECTED)
 
     def fraction(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "'-'":
-            self.take("'-'")
-            sign = -1
+        sign = -1 if self.accept("'-'") else 1
         numerator = self.integer()
-        if self.peek().kind == "'/'":
-            self.take("'/'")
+        if self.accept("'/'"):
             return Fraction(sign * numerator, self.integer(1, "zero denominator"))
         return Fraction(sign * numerator)
 

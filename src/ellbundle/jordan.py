@@ -176,6 +176,8 @@ class ProductObject(_Frozen, fields=("modulus", "components")):
 
     def __init__(self, modulus: int, components: tuple[tuple[Component, int], ...] = ()) -> None:
         _check_modulus(modulus)
+        if type(components) is not tuple:
+            raise TypeError("components must be a tuple")
         for (char, block), mult in components:
             if type(char) is not int or not 0 <= char < modulus:
                 raise ValueError("characters must be integers reduced modulo the modulus")

@@ -109,6 +109,8 @@ class SummandClosure(_Frozen, fields=("classes", "stabilized")):
     """
 
     def __init__(self, classes: frozenset[Indecomposable], stabilized: bool) -> None:
+        if type(classes) is not frozenset:
+            raise TypeError("classes must be a frozenset")
         super().__init__(classes, stabilized)
 
 
@@ -240,6 +242,8 @@ class TannakianLabel(_Frozen, fields=("unipotent", "free_rank", "torsion")):
     """
 
     def __init__(self, unipotent: bool, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        if type(torsion) is not tuple:
+            raise TypeError("torsion must be a tuple")
         super().__init__(unipotent, free_rank, torsion)
 
     def __str__(self) -> str:

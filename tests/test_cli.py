@@ -211,6 +211,20 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "usage error" in err and "can't decode" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("summands", "E[", "--max-power", "0"),
+            ("oracle-check", "E[2]", "E[", "--modulus", "0"),
+            ("oracle-check", "E[", "E[2]"),
+        ],
+        ids=["max-power-0", "modulus-0", "no-modulus"],
+    )
+    def test_parse_error_wins_over_option_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("modulus", ["0", "-3"])
     def test_modulus_below_one(self, capsys, modulus):
         code, out, err = run(capsys, "oracle-check", "E[2]", "E[1]", "--modulus", modulus)
@@ -306,7 +320,8 @@ class TestFileInput:
 
 
 class TestOutputFailure:
-    """Output that cannot be written is one line on stderr and exit 3."""
+    """An answer that cannot be written is one line on stderr and exit 3; an
+    error line that cannot be written keeps its own code."""
 
     def test_closed_pipe(self):
         command = [sys.executable, "-m", "ellbundle", "summands", "E[2]", "--max-power", "20000"]
@@ -329,6 +344,21 @@ class TestOutputFailure:
             )
         error = "error: cannot write output: [Errno 28] No space left on device\n"
         assert (done.returncode, done.stderr) == (3, error)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "text, full_stdout, code",
+        [("E[", False, 2), ("E[2]", True, 3)],
+        ids=["parse-error", "lost-answer"],
+    )
+    def test_error_line_that_cannot_be_written_keeps_its_code(self, text, full_stdout, code):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "ellbundle", "rank", text],
+                stdout=full if full_stdout else subprocess.PIPE, stderr=full,
+                env=child_env(), text=True, timeout=10,
+            )
+        assert (done.returncode, done.stdout) == (code, None if full_stdout else "")
 
 
 def run_caught(argv) -> tuple:

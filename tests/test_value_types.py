@@ -157,4 +157,20 @@ def test_public_constructors_check_their_fields():
         ProductObject(3, (((0, 1), 0),))
     with pytest.raises(ValueError, match="components must be strictly sorted"):
         ProductObject(3, (((1, 1), 1), ((0, 1), 1)))
+    # A mutable container would be stored as given: unhashable, and unequal
+    # to the value built from a tuple.
+    with pytest.raises(TypeError, match="summands must be a tuple of"):
+        BundleObject([(e2, 1)])
+    with pytest.raises(TypeError, match="summands must be a tuple of"):
+        BundleObject(((2, 1),))
+    with pytest.raises(TypeError, match="terms must be a tuple of"):
+        RingElement([(e2, Fraction(1))])
+    with pytest.raises(TypeError, match="terms must be a tuple of"):
+        RingElement(((2, Fraction(1)),))
+    with pytest.raises(TypeError, match="components must be a tuple"):
+        ProductObject(3, [((0, 1), 1)])
+    with pytest.raises(TypeError, match="torsion must be a tuple"):
+        TannakianLabel(True, 0, [3])
+    with pytest.raises(TypeError, match="classes must be a frozenset"):
+        SummandClosure({e2}, True)
 
