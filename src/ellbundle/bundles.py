@@ -17,9 +17,18 @@ The tensor product follows the Clebsch-Gordan pattern
 
 One kernel, ``_grouped_product``, computes every object and ring product.
 It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
-pair of distinct twists is multiplied once and ranks combine as plain
-integers; normal forms are sorted straight from its groups, and
-indecomposables are built only for the result.  Summand closures need only
+pair of distinct twists is multiplied once; normal forms are sorted
+straight from its groups, and indecomposables are built only for the
+result.  The ranks combine along one of two paths, picked per product by a
+cost rule from sizes known before any rank is touched.  The triple loop
+adds each piece E_k on its own.  The packed path multiplies SL2 characters
+packed into integers (the Brauer-Klimyk rule over Kronecker substitution),
+one integer product per twist pair.  The rule weighs the loop's pieces
+against the packed path's output fields times limbs, with one constant set
+on the kernel calls of the ``tensor`` benchmark round (``_PACKED_COST``):
+``big * big``, ``big = (E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6``, packs and
+its kernel time falls from 7.5 to 2.6 ms, while tall-and-thin products such
+as ``E[100000] * E[100000]`` keep the loop.  Summand closures need only
 which classes occur, so they use its support form, ``_grouped_support``,
 on ``{twist: rank bitmask}`` maps: the pieces E_{r+q-1-2j}, j < min(r, q),
 of E_r (x) E_q are one shift of a mask per j, and a closure keeps its twist
@@ -36,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from .picard import TRIVIAL, LineBundleClass
 
@@ -152,23 +161,169 @@ def _by_twist(items: Iterable[tuple[Indecomposable, Coeff]]) -> Groups:
     return groups
 
 
+# The packed path runs when the loop's pieces exceed this many times the
+# packed cost: output fields times limbs, plus one output twist's fields for
+# the path's fixed work.  Fitted on the 555 kernel calls of the `tensor`
+# round, seeds 1-3, each timed on both paths (best of 7; Python 3.11.7, 2-CPU
+# x86-64 Linux), with `big * big` counted three times as the round runs it:
+# 88.0 ms on the loop alone, 42.4 ms at 1.0, 42.6 ms at 1.5, 45.1 ms at 2.0.
+# From 1.5 up no call packed takes over 1.34 times the loop's time, and
+# chains x * E[q], q <= 6, such as E[6]^15 * E[6], stay on the loop.
+_PACKED_COST = 1.5
+
+Table = tuple[list[list[dict[int, Coeff]]], Groups]
+
+
+def _twist_table(left: Groups, right: Groups) -> Table:
+    """Every twist pair multiplied once: ``(rows, products)``, where
+    ``products`` maps each output twist to an empty rank map, in order of
+    first appearance, and ``rows[i][j]`` is the rank map of the i-th left
+    twist times the j-th right twist.  A path fills the rank maps in place,
+    so a table serves one product."""
+    products: Groups = {}
+    rows = [[products.setdefault(s * t, {}) for t in right] for s in left]
+    return rows, products
+
+
 def _grouped_product(left: Groups, right: Groups) -> Groups:
     """The Clebsch-Gordan kernel: the tensor product of two twist-grouped maps.
 
-    Each pair of twists is multiplied once, and the ranks of the pair are
-    combined as plain integers by the rule of :func:`tensor_rank_indices`.
-    Coefficients that cancel stay in the result as zeros.
+    Each pair of twists is multiplied once, for either of two paths, and a
+    cost rule picks the path from sizes known before any rank is combined.
+    The loop's cost is its piece count, the sum of min(r, q) over every left
+    rank r and right rank q of every twist pair.  The packed path's cost is
+    its output fields (output twists, plus one for its fixed work, times
+    fields per twist) times the limbs per field.  Both paths return the same
+    coefficients, but only the loop keeps coefficients that cancel, as zeros.
     """
-    products: Groups = {}
-    for s, left_ranks in left.items():
-        for t, right_ranks in right.items():
-            ranks = products.setdefault(s * t, {})
+    table = _twist_table(left, right)
+    rs = list(chain.from_iterable(left.values()))
+    qs = list(chain.from_iterable(right.values()))
+    if rs and qs:
+        cost = _PACKED_COST * (len(table[1]) + 1) * (max(rs) + 2 * max(qs) - 1)
+        # min(r, q) is at most r and at most q, so most products that stay on
+        # the loop are told by a bound, without counting their pieces.
+        if min(len(rs) * sum(qs), len(qs) * sum(rs)) > cost:
+            pieces = _pieces(rs, qs)
+            # At least one limb: the limbs are counted only when they decide.
+            if pieces > cost and pieces > cost * _limbs(left, right):
+                return _packed_product(left, right, table)
+    return _loop_product(left, right, table)
+
+
+def _pieces(rs: list[int], qs: list[int]) -> int:
+    """The sum of min(r, q) over every r in rs and q in qs: each r adds the
+    q below it and r for each q from r up, read off both lists sorted."""
+    rs, qs = sorted(rs), sorted(qs)
+    pieces = low = j = 0
+    for r in rs:
+        while j < len(qs) and qs[j] < r:
+            low += qs[j]
+            j += 1
+        pieces += low + r * (len(qs) - j)
+    return pieces
+
+
+def _loop_product(left: Groups, right: Groups, table: Table) -> Groups:
+    """The kernel as a triple loop over the twist pairs of ``table``
+    (:func:`_twist_table`): the ranks of each pair combine as plain integers
+    by the rule of :func:`tensor_rank_indices`.  Coefficients that cancel
+    stay as zeros."""
+    rows, products = table
+    for left_ranks, row in zip(left.values(), rows):
+        for right_ranks, ranks in zip(right.values(), row):
             for r, a in left_ranks.items():
                 for q, b in right_ranks.items():
                     coeff = a * b
                     for k in range(abs(r - q) + 1, r + q, 2):
                         ranks[k] = ranks.get(k, 0) + coeff
     return products
+
+
+def _limbs(left: Groups, right: Groups) -> int:
+    """64-bit limbs per packed field: every field's absolute value is at most
+    the product of the two maps' absolute coefficient sums, and must stay
+    below 2^(w-1) for a field of w bits.  A sum is taken as at least 1, so
+    each coefficient fits a field too."""
+    bound = 1
+    for groups in (left, right):
+        bound *= sum(map(abs, chain.from_iterable(map(dict.values, groups.values())))) or 1
+    return bound.bit_length() // 64 + 1
+
+
+def _packed_product(left: Groups, right: Groups, table: Table) -> Groups:
+    """The kernel on packed SL2 characters (Brauer-Klimyk over Kronecker
+    substitution), over the twist pairs of ``table`` (:func:`_twist_table`):
+    E_r (x) E_q is the sum of E_(r+v) over the weights v = 1-q, 3-q, ..., q-1
+    of E_q, with E_0 = 0 and E_(-m) = -E_m.
+
+    Polynomials in z are packed as integers at z = 2^w, one w-bit field per
+    power of z.  Each right twist packs once as its character times z^o,
+    where o is the top right rank of the whole map minus 1, so every
+    exponent is nonnegative: the numerator sum of b_q (z^(o+q+1) - z^(o-q+1))
+    divided exactly by z^2 - 1.  Each left twist packs once as its highest
+    weights, the sum of a_r z^r, from its lowest rank m on: the product is
+    then shifted by m fields (one rank: a shifted multiple).  One product per
+    twist pair holds E_k at field o + k, and is added into the accumulator
+    of its output twist.  Fields are balanced digits: each accumulator starts
+    at 2^(w-1) in every field, so none borrows from the next.  Each output
+    twist is unpacked once: the field o - k of a negative weight is
+    subtracted from E_k, which cancels the bias, and the fields above 2o
+    lose it.
+    """
+    import sys  # loaded at start-up; a from-import would cost more per call
+
+    byteorder = sys.byteorder
+    off = max(chain.from_iterable(right.values()), default=1) - 1
+    top = max(chain.from_iterable(left.values()), default=1)
+    fields = top + 2 * off + 1
+    limbs = _limbs(left, right)
+    w, size = 64 * limbs, 8 * limbs
+    z2 = (1 << 2 * w) - 1
+    chars = [
+        _pack({off + e * q + 1: e * b for q, b in ranks.items() for e in (1, -1)}, size) // z2
+        for ranks in right.values()
+    ]
+    heads = []
+    for ranks in left.values():
+        low = min(ranks, default=0)
+        h = _pack({r - low: a for r, a in ranks.items()}, size) if len(ranks) > 1 else ranks.get(low, 0)
+        heads.append((h, w * low))
+    rows, products = table
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
+    acc: dict[int, int] = {}  # by the identity of an output twist's rank map
+    for (h, shift), row in zip(heads, rows):
+        for c, ranks in zip(chars, row):
+            acc[id(ranks)] = acc.get(id(ranks), bias) + (h * c << shift)
+    pad = [1 << w - 1] * top
+    for ranks in products.values():
+        raw = acc[id(ranks)].to_bytes(size * fields, byteorder)
+        if limbs == 1:
+            digits = memoryview(raw).cast("Q").tolist()
+        else:
+            digits = [int.from_bytes(raw[i : i + size], byteorder) for i in range(0, len(raw), size)]
+        if byteorder == "big":
+            digits.reverse()
+        ranks.update((k, c) for k, c in enumerate(map(sub, digits[off:], digits[off::-1] + pad)) if c)
+    return products
+
+
+def _pack(coeffs: dict[int, int], size: int) -> int:
+    """The sum of c z^k over ``{k: c}`` at z = 2^(8 size), for k >= 0 and
+    |c| < 2^(8 size - 1).  Up to 64 terms are shifted into place, which is
+    faster there; more are written as bytes, in time linear in the bytes
+    rather than in terms times bytes: each c into its own field in two's
+    complement, and the borrow a negative field takes from the next one is
+    subtracted after."""
+    if len(coeffs) <= 64:
+        return sum(c << 8 * size * k for k, c in coeffs.items())
+    digits = bytearray(size * (max(coeffs) + 2))
+    borrows = bytearray(len(digits))
+    for k, c in coeffs.items():
+        digits[k * size : k * size + size] = c.to_bytes(size, "little", signed=True)
+        if c < 0:
+            borrows[k * size + size] = 1
+    return int.from_bytes(digits, "little") - int.from_bytes(borrows, "little")
 
 
 Masks = dict[LineBundleClass, int]
@@ -226,8 +381,10 @@ class _Combination(_Frozen):
 
     def __init__(self, pairs: tuple = ()) -> None:
         (field,) = self._fields
-        if type(pairs) is not tuple or not all(isinstance(ind, Indecomposable) for ind, _ in pairs):
-            raise TypeError(f"{field} must be a tuple of (Indecomposable, coefficient) pairs")
+        if type(pairs) is not tuple or not all(
+            type(pair) is tuple and len(pair) == 2 and isinstance(pair[0], Indecomposable) for pair in pairs
+        ):
+            raise TypeError(f"{field} must be a tuple of (Indecomposable, coefficient) tuples")
         keys = [ind.sort_key() for ind, _ in pairs]
         if not all(k < l for k, l in zip(keys, keys[1:])):
             raise ValueError(f"{field} must be strictly sorted")

@@ -42,10 +42,17 @@ Result = tuple[int, dict, str]  # (exit code, record fields, plain text)
 
 def _build_parser():
     import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse's own write drops its OSError
+            code = _write(EXIT_OK, self.format_help()[:-1], file or sys.stdout)
+            if code:
+                raise SystemExit(code)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a structured JSON record")
     common.add_argument("--file", metavar="PATH", help="read expressions from PATH, one per line")
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="ellbundle",
         description="Exact calculator for degree-0 vector bundles on an elliptic curve.",
     )
@@ -279,11 +286,9 @@ def _answer(args: SimpleNamespace) -> tuple[int, str, TextIOBase]:
         return EXIT_DOMAIN, f"error: {message}", sys.stderr
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _fast_args(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
-    code, text, stream = _answer(args)
+def _write(code: int, text: str, stream: TextIOBase) -> int:
+    """Write a line of text and return the exit code: a lost answer is one
+    line on stderr and exit 3, and a lost error line keeps its own code."""
     while True:
         try:
             print(text, file=stream, flush=True)
@@ -293,9 +298,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, stream.fileno())
             os.close(devnull)
-            if stream is sys.stderr:  # a lost error line keeps its own code
+            if stream is sys.stderr:
                 return code
             code, text, stream = EXIT_DOMAIN, f"error: cannot write output: {exc}", sys.stderr
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+    return _write(*_answer(args))
 
 
 if __name__ == "__main__":

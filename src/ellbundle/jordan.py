@@ -176,8 +176,11 @@ class ProductObject(_Frozen, fields=("modulus", "components")):
 
     def __init__(self, modulus: int, components: tuple[tuple[Component, int], ...] = ()) -> None:
         _check_modulus(modulus)
-        if type(components) is not tuple:
-            raise TypeError("components must be a tuple")
+        if type(components) is not tuple or not all(
+            type(item) is tuple and len(item) == 2 and type(item[0]) is tuple and len(item[0]) == 2
+            for item in components
+        ):
+            raise TypeError("components must be a tuple of ((character, block), multiplicity) tuples")
         for (char, block), mult in components:
             if type(char) is not int or not 0 <= char < modulus:
                 raise ValueError("characters must be integers reduced modulo the modulus")

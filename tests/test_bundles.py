@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ellbundle import (
     RING_ZERO,
@@ -14,8 +14,10 @@ from ellbundle import (
     atiyah,
     hom_dim,
     line_class,
+    parse_object,
     tensor_rank_indices,
 )
+from ellbundle import bundles
 from ellbundle.bundles import _grouped_product, _grouped_support
 
 from _strategies import bundle_objects, finite_objects, indecomposables, line_classes, unipotent_objects
@@ -97,6 +99,110 @@ class TestTensor:
             return {twist: dict.fromkeys(ranks, 1) for twist, ranks in sets.items()}
 
         assert _grouped_support(masks(left), masks(right), {}) == masks(_grouped_product(ones(left), ones(right)))
+
+
+def spec_product(left, right) -> dict:
+    """The kernel's product by the rule of tensor_rank_indices, rank pair by
+    rank pair, with the twists that cancel to nothing dropped."""
+    out: dict = {}
+    for s, left_ranks in left.items():
+        for t, right_ranks in right.items():
+            ranks = out.setdefault(s * t, {})
+            for r, a in left_ranks.items():
+                for q, b in right_ranks.items():
+                    for k in tensor_rank_indices(r, q):
+                        ranks[k] = ranks.get(k, 0) + a * b
+    return nonzero(out)
+
+
+def nonzero(groups) -> dict:
+    """A twist-grouped map without zero coefficients or empty twists."""
+    kept = {t: {k: c for k, c in ranks.items() if c} for t, ranks in groups.items()}
+    return {t: ranks for t, ranks in kept.items() if ranks}
+
+
+def coefficient_maps(signed: bool):
+    """Pairs of ``{twist: {rank: coefficient}}`` maps as the kernel receives them.
+
+    Coefficients reach 2^70, so two coefficient sums multiply past 2^63 and
+    the packed fields take several limbs.  Each map is short (ranks up to
+    12, several twists) or, on one side only, tall: 65 to 70 ranks of one
+    parity in one twist, past the 64 terms that the packer shifts into place.
+    """
+    def coeffs(high):
+        return st.integers(-high if signed else 1, high).filter(bool)
+
+    # One bound per map keeps small and large coefficient sums both common.
+    short = st.sampled_from((9, 2**70)).flatmap(lambda high: st.dictionaries(
+        line_classes(max_order=4), st.dictionaries(st.integers(1, 12), coeffs(high), min_size=1, max_size=5),
+        min_size=1, max_size=4,
+    ))
+    # Tall coefficients come from one seeded draw each: 65 draws of their own
+    # would take most of the test's time.
+    tall = st.builds(
+        lambda twist, low, count, high, rng: {
+            twist: {low + 2 * i: rng.randint(-high if signed else 1, high) or 1 for i in range(count)}
+        },
+        line_classes(max_order=2, with_free=False), st.integers(1, 10), st.integers(65, 70),
+        st.sampled_from((9, 2**70)), st.randoms(use_true_random=False),
+    )
+    return st.one_of(st.tuples(short, short), st.tuples(tall, short), st.tuples(short, tall))
+
+
+BIG = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)"
+
+
+class TestKernelPaths:
+    """Both paths of the kernel, called directly, against the rule of
+    tensor_rank_indices, and the path the cost rule picks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans().flatmap(coefficient_maps))
+    def test_each_path_is_the_spec(self, maps):
+        left, right = maps
+        expected = spec_product(left, right)
+        for path in (bundles._loop_product, bundles._packed_product):
+            assert nonzero(path(left, right, bundles._twist_table(left, right))) == expected
+
+    def test_both_paths_meet_the_spec_across_the_rule_boundary(self, monkeypatch):
+        # Ranks 1..n, each with coefficient c, times themselves and one more
+        # twist: the pieces grow as n^3 and the packed fields as n, so the
+        # rule leaves the loop as n grows, at n = 5.  Coefficients of 2^40
+        # and 2^70 take two and three limbs, which moves that to 8 and 10.
+        chosen = []
+        for name in ("_loop_product", "_packed_product"):
+            path = getattr(bundles, name)
+            monkeypatch.setattr(bundles, name, lambda *a, name=name, path=path: chosen.append(name) or path(*a))
+        seen = set()
+        for c in (1, -3, 2**40, -(2**70)):
+            for n in range(1, 12):
+                left = {L12: {r: c for r in range(1, n + 1)}}
+                right = {TRIVIAL: {q: c for q in range(1, n + 1)}, L13: {n: 1}}
+                expected = spec_product(left, right)
+                chosen.clear()
+                assert nonzero(bundles._grouped_product(left, right)) == expected
+                seen.add((chosen[0], bundles._limbs(left, right)))
+                for path in (bundles._loop_product, bundles._packed_product):
+                    assert nonzero(path(left, right, bundles._twist_table(left, right))) == expected
+        assert seen == {(path, limbs) for path in ("_loop_product", "_packed_product") for limbs in (1, 2, 3)}
+
+    @pytest.mark.parametrize(
+        "left, right, path",
+        [
+            ("E[100000]", "E[100000]", "_loop_product"),  # three packed fields per piece
+            ("E[2]^300", "E[2]", "_loop_product"),  # 5-limb fields for about 300 pieces
+            (f"{BIG}^6", f"{BIG}^6", "_packed_product"),  # 784 twist pairs onto 91 twists
+        ],
+        ids=["tall-and-thin", "multi-limb", "big-times-big"],
+    )
+    def test_the_rule_picks(self, monkeypatch, left, right, path):
+        a, b = parse_object(left), parse_object(right)  # before the spies: parsing multiplies too
+        chosen = []
+        for name in ("_loop_product", "_packed_product"):
+            kernel = getattr(bundles, name)
+            monkeypatch.setattr(bundles, name, lambda *a, name=name, kernel=kernel: chosen.append(name) or kernel(*a))
+        assert (a * b).rank() == a.rank() * b.rank()
+        assert chosen == [path]
 
 
 class TestDual:

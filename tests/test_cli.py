@@ -346,6 +346,18 @@ class TestOutputFailure:
         assert (done.returncode, done.stderr) == (3, error)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["-h"], ["rank", "-h"]], ids=["help", "verb-help"])
+    def test_help_that_cannot_be_written(self, argv):
+        # argparse's own write of the help drops its OSError.
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "ellbundle", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=10,
+            )
+        error = "error: cannot write output: [Errno 28] No space left on device\n"
+        assert (done.returncode, done.stderr) == (3, error)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(
         "text, full_stdout, code",
         [("E[", False, 2), ("E[2]", True, 3)],

@@ -57,6 +57,16 @@ def test_rank_loads_neither_kring_nor_jordan_nor_json_nor_dataclasses(baseline):
     assert HEAVY & (modules - baseline) == set()
 
 
+def test_tensor_loads_nothing_beyond_a_rank_query(baseline):
+    # big * big takes the kernel's packed path, which reads its fields
+    # through int.to_bytes and memoryview: no array, struct or kring.
+    big = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6"
+    _, _, rank_modules = run("-m", "ellbundle", "rank", "E[2]")
+    code, out, modules = run("-m", "ellbundle", "tensor", big, big)
+    assert code == 0 and out.count(" + ") == 614  # the 615 classes of big * big
+    assert modules - baseline - rank_modules == set()
+
+
 def test_summands_loads_kring(baseline):
     code, out, modules = run("-m", "ellbundle", "summands", "E[2]*L[1/2,0]", "--max-power", "3")
     assert (code, out) == (0, "E[1]\nE[2]*L[1/2,0]\nE[3]\nE[4]*L[1/2,0]\nstabilized: false\n")

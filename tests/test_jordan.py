@@ -142,8 +142,13 @@ def test_oracle_does_not_call_the_clebsch_gordan_rule(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the rule it checks")
 
+    # Every form of the rule: the kernel, its two paths and their helpers
+    # (twist pairs, piece count, limbs, packing), and the support form.
+    names = ("_grouped_product", "_twist_table", "_pieces", "_limbs", "_loop_product", "_packed_product",
+             "_pack", "_grouped_support", "tensor_rank_indices")
+    assert all(hasattr(ellbundle.bundles, name) for name in names)
     for module in (ellbundle.bundles, ellbundle.jordan):
-        for name in ("_grouped_product", "_grouped_support", "tensor_rank_indices"):
+        for name in names:
             monkeypatch.setattr(module, name, refuse, raising=False)
     jordan_tensor.cache_clear()
     assert jordan_tensor(4, 3) == (6, 4, 2)

@@ -169,6 +169,18 @@ def test_public_constructors_check_their_fields():
         RingElement(((2, Fraction(1)),))
     with pytest.raises(TypeError, match="components must be a tuple"):
         ProductObject(3, [((0, 1), 1)])
+    # A list inside the tuple would be stored as given too, or fail with a bare
+    # TypeError from hashing it.
+    with pytest.raises(TypeError, match="summands must be a tuple of"):
+        BundleObject(([e2, 1],))
+    with pytest.raises(TypeError, match="summands must be a tuple of"):
+        BundleObject(((e2, 1, 1),))
+    with pytest.raises(TypeError, match="terms must be a tuple of"):
+        RingElement(([e2, Fraction(1)],))
+    with pytest.raises(TypeError, match=r"components must be a tuple of \(\(character, block\), multiplicity\)"):
+        ProductObject(3, (([0, 1], 1),))
+    with pytest.raises(TypeError, match="components must be a tuple of"):
+        ProductObject(3, ([(0, 1), 1],))
     with pytest.raises(TypeError, match="torsion must be a tuple"):
         TannakianLabel(True, 0, [3])
     with pytest.raises(TypeError, match="classes must be a frozenset"):
