@@ -27,7 +27,7 @@ one integer product per twist pair.  The rule weighs the loop's pieces
 against the packed path's output fields times limbs, with one constant set
 on the kernel calls of the ``tensor`` benchmark round (``_PACKED_COST``):
 ``big * big``, ``big = (E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6``, packs and
-its kernel time falls from 7.5 to 2.6 ms, while tall-and-thin products such
+its kernel time falls from 7.2 to 2.9 ms, while tall-and-thin products such
 as ``E[100000] * E[100000]`` keep the loop.  Summand closures need only
 which classes occur, so they use its support form, ``_grouped_support``,
 on ``{twist: rank bitmask}`` maps: the pieces E_{r+q-1-2j}, j < min(r, q),
@@ -42,6 +42,7 @@ are sums of ``E_r (x) L`` with ``L`` torsion.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
@@ -164,10 +165,11 @@ def _by_twist(items: Iterable[tuple[Indecomposable, Coeff]]) -> Groups:
 # The packed path runs when the loop's pieces exceed this many times the
 # packed cost: output fields times limbs, plus one output twist's fields for
 # the path's fixed work.  Fitted on the 555 kernel calls of the `tensor`
-# round, seeds 1-3, each timed on both paths (best of 7; Python 3.11.7, 2-CPU
-# x86-64 Linux), with `big * big` counted three times as the round runs it:
-# 88.0 ms on the loop alone, 42.4 ms at 1.0, 42.6 ms at 1.5, 45.1 ms at 2.0.
-# From 1.5 up no call packed takes over 1.34 times the loop's time, and
+# round, seeds 1-3, each timed on both paths without the twist table (best
+# of 7; Python 3.11.7, 2-CPU x86-64 Linux), with `big * big` counted three
+# times as the round runs it: 85.0 ms on the loop alone, 46.4 ms at 1.0,
+# 44.8 ms at 1.5, 45.2 ms at 2.0.  At 1.5 the worst call packed takes 1.86
+# times the loop's time (2 fields per twist onto 50 output twists), and
 # chains x * E[q], q <= 6, such as E[6]^15 * E[6], stay on the loop.
 _PACKED_COST = 1.5
 
@@ -179,7 +181,11 @@ def _twist_table(left: Groups, right: Groups) -> Table:
     ``products`` maps each output twist to an empty rank map, in order of
     first appearance, and ``rows[i][j]`` is the rank map of the i-th left
     twist times the j-th right twist.  A path fills the rank maps in place,
-    so a table serves one product."""
+    so a table serves one product.  Handing out the rank maps, not the
+    twists, spares each path a hash of a twist per twist pair or per output
+    twist: building the output keyed by twist again cost 17 us of the 430 us
+    kernel time of a ``tensor`` round's CENTRE product (110 output twists on
+    average, each hashed by a Python-level ``__hash__``)."""
     products: Groups = {}
     rows = [[products.setdefault(s * t, {}) for t in right] for s in left]
     return rows, products
@@ -205,9 +211,12 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
         # the loop are told by a bound, without counting their pieces.
         if min(len(rs) * sum(qs), len(qs) * sum(rs)) > cost:
             pieces = _pieces(rs, qs)
-            # At least one limb: the limbs are counted only when they decide.
-            if pieces > cost and pieces > cost * _limbs(left, right):
-                return _packed_product(left, right, table)
+            # The limbs walk every coefficient, so they are counted only
+            # when they decide.
+            if pieces > cost:
+                limbs = _limbs(left, right)
+                if pieces > cost * limbs:
+                    return _packed_product(left, right, table, limbs)
     return _loop_product(left, right, table)
 
 
@@ -251,7 +260,7 @@ def _limbs(left: Groups, right: Groups) -> int:
     return bound.bit_length() // 64 + 1
 
 
-def _packed_product(left: Groups, right: Groups, table: Table) -> Groups:
+def _packed_product(left: Groups, right: Groups, table: Table, limbs: int) -> Groups:
     """The kernel on packed SL2 characters (Brauer-Klimyk over Kronecker
     substitution), over the twist pairs of ``table`` (:func:`_twist_table`):
     E_r (x) E_q is the sum of E_(r+v) over the weights v = 1-q, 3-q, ..., q-1
@@ -265,19 +274,17 @@ def _packed_product(left: Groups, right: Groups, table: Table) -> Groups:
     weights, the sum of a_r z^r, from its lowest rank m on: the product is
     then shifted by m fields (one rank: a shifted multiple).  One product per
     twist pair holds E_k at field o + k, and is added into the accumulator
-    of its output twist.  Fields are balanced digits: each accumulator starts
-    at 2^(w-1) in every field, so none borrows from the next.  Each output
+    of its output twist.  Fields are ``limbs`` 64-bit words wide
+    (:func:`_limbs`) and hold balanced digits: each accumulator starts at
+    2^(w-1) in every field, so none borrows from the next.  Each output
     twist is unpacked once: the field o - k of a negative weight is
     subtracted from E_k, which cancels the bias, and the fields above 2o
     lose it.
     """
-    import sys  # loaded at start-up; a from-import would cost more per call
-
     byteorder = sys.byteorder
     off = max(chain.from_iterable(right.values()), default=1) - 1
     top = max(chain.from_iterable(left.values()), default=1)
     fields = top + 2 * off + 1
-    limbs = _limbs(left, right)
     w, size = 64 * limbs, 8 * limbs
     z2 = (1 << 2 * w) - 1
     chars = [
@@ -310,13 +317,9 @@ def _packed_product(left: Groups, right: Groups, table: Table) -> Groups:
 
 def _pack(coeffs: dict[int, int], size: int) -> int:
     """The sum of c z^k over ``{k: c}`` at z = 2^(8 size), for k >= 0 and
-    |c| < 2^(8 size - 1).  Up to 64 terms are shifted into place, which is
-    faster there; more are written as bytes, in time linear in the bytes
-    rather than in terms times bytes: each c into its own field in two's
-    complement, and the borrow a negative field takes from the next one is
-    subtracted after."""
-    if len(coeffs) <= 64:
-        return sum(c << 8 * size * k for k, c in coeffs.items())
+    |c| < 2^(8 size - 1), written as bytes in time linear in the bytes: each
+    c into its own field in two's complement, and the borrow a negative
+    field takes from the next one is subtracted after."""
     digits = bytearray(size * (max(coeffs) + 2))
     borrows = bytearray(len(digits))
     for k, c in coeffs.items():

@@ -127,7 +127,7 @@ def coefficient_maps(signed: bool):
     Coefficients reach 2^70, so two coefficient sums multiply past 2^63 and
     the packed fields take several limbs.  Each map is short (ranks up to
     12, several twists) or, on one side only, tall: 65 to 70 ranks of one
-    parity in one twist, past the 64 terms that the packer shifts into place.
+    parity in one twist, so one side packs many more fields than the other.
     """
     def coeffs(high):
         return st.integers(-high if signed else 1, high).filter(bool)
@@ -152,6 +152,13 @@ def coefficient_maps(signed: bool):
 BIG = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)"
 
 
+def each_path(left, right) -> list:
+    """The product by each path of the kernel, called directly, zeros dropped."""
+    return [nonzero(bundles._loop_product(left, right, bundles._twist_table(left, right))),
+            nonzero(bundles._packed_product(left, right, bundles._twist_table(left, right),
+                                            bundles._limbs(left, right)))]
+
+
 class TestKernelPaths:
     """Both paths of the kernel, called directly, against the rule of
     tensor_rank_indices, and the path the cost rule picks."""
@@ -161,8 +168,7 @@ class TestKernelPaths:
     def test_each_path_is_the_spec(self, maps):
         left, right = maps
         expected = spec_product(left, right)
-        for path in (bundles._loop_product, bundles._packed_product):
-            assert nonzero(path(left, right, bundles._twist_table(left, right))) == expected
+        assert each_path(left, right) == [expected, expected]
 
     def test_both_paths_meet_the_spec_across_the_rule_boundary(self, monkeypatch):
         # Ranks 1..n, each with coefficient c, times themselves and one more
@@ -173,18 +179,17 @@ class TestKernelPaths:
         for name in ("_loop_product", "_packed_product"):
             path = getattr(bundles, name)
             monkeypatch.setattr(bundles, name, lambda *a, name=name, path=path: chosen.append(name) or path(*a))
-        seen = set()
-        for c in (1, -3, 2**40, -(2**70)):
+        boundary = {1: (1, 5), -3: (1, 5), 2**40: (2, 8), -(2**70): (3, 10)}  # c: (limbs, first packed n)
+        for c, (limbs, first) in boundary.items():
             for n in range(1, 12):
                 left = {L12: {r: c for r in range(1, n + 1)}}
                 right = {TRIVIAL: {q: c for q in range(1, n + 1)}, L13: {n: 1}}
                 expected = spec_product(left, right)
                 chosen.clear()
                 assert nonzero(bundles._grouped_product(left, right)) == expected
-                seen.add((chosen[0], bundles._limbs(left, right)))
-                for path in (bundles._loop_product, bundles._packed_product):
-                    assert nonzero(path(left, right, bundles._twist_table(left, right))) == expected
-        assert seen == {(path, limbs) for path in ("_loop_product", "_packed_product") for limbs in (1, 2, 3)}
+                assert bundles._limbs(left, right) == limbs
+                assert chosen == ["_packed_product" if n >= first else "_loop_product"]
+                assert each_path(left, right) == [expected, expected]
 
     @pytest.mark.parametrize(
         "left, right, path",
