@@ -31,8 +31,8 @@ its kernel time falls from 7.2 to 2.9 ms, while tall-and-thin products such
 as ``E[100000] * E[100000]`` keep the loop.  Summand closures need only
 which classes occur, so they use its support form, ``_grouped_support``,
 on ``{twist: rank bitmask}`` maps: the pieces E_{r+q-1-2j}, j < min(r, q),
-of E_r (x) E_q are one shift of a mask per j, and a closure keeps its twist
-products across powers.  Each ``E_r`` is self-dual,
+of E_r (x) E_q are one pair of shifts of a mask per j, and a closure keeps
+its twist products across powers.  Each ``E_r`` is self-dual,
 ``dim Gamma(E_r (x) L)`` is 1 when L is trivial and 0 otherwise, and
 ``Hom(A, B) = Gamma(A^dual (x) B)``.  The classifiers at the bottom express
 the trichotomy on this curve: finite objects are sums of torsion line
@@ -272,18 +272,18 @@ def _packed_product(left: Groups, right: Groups, table: Table, limbs: int) -> Gr
     exponent is nonnegative: the numerator sum of b_q (z^(o+q+1) - z^(o-q+1))
     divided exactly by z^2 - 1.  Each left twist packs once as its highest
     weights, the sum of a_r z^r, from its lowest rank m on: the product is
-    then shifted by m fields (one rank: a shifted multiple).  One product per
-    twist pair holds E_k at field o + k, and is added into the accumulator
-    of its output twist.  Fields are ``limbs`` 64-bit words wide
-    (:func:`_limbs`) and hold balanced digits: each accumulator starts at
-    2^(w-1) in every field, so none borrows from the next.  Each output
-    twist is unpacked once: the field o - k of a negative weight is
-    subtracted from E_k, which cancels the bias, and the fields above 2o
-    lose it.
+    then shifted by m fields.  One product per twist pair holds E_k at field
+    o + k, and is added into the accumulator of its output twist.  Fields
+    are ``limbs`` 64-bit words wide (:func:`_limbs`) and hold balanced
+    digits, in the operands (:func:`_pack`) as in the accumulators: each
+    accumulator starts at 2^(w-1) in every field, so none borrows from the
+    next.  Each output twist is unpacked once: the field o - k of a
+    negative weight is subtracted from E_k, which cancels the bias, and the
+    fields above 2o lose it.
     """
     byteorder = sys.byteorder
-    off = max(chain.from_iterable(right.values()), default=1) - 1
-    top = max(chain.from_iterable(left.values()), default=1)
+    off = max(chain.from_iterable(right.values())) - 1
+    top = max(chain.from_iterable(left.values()))
     fields = top + 2 * off + 1
     w, size = 64 * limbs, 8 * limbs
     z2 = (1 << 2 * w) - 1
@@ -293,9 +293,8 @@ def _packed_product(left: Groups, right: Groups, table: Table, limbs: int) -> Gr
     ]
     heads = []
     for ranks in left.values():
-        low = min(ranks, default=0)
-        h = _pack({r - low: a for r, a in ranks.items()}, size) if len(ranks) > 1 else ranks.get(low, 0)
-        heads.append((h, w * low))
+        low = min(ranks)
+        heads.append((_pack({r - low: a for r, a in ranks.items()}, size), w * low))
     rows, products = table
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * fields, "little")
     acc: dict[int, int] = {}  # by the identity of an output twist's rank map
@@ -317,16 +316,15 @@ def _packed_product(left: Groups, right: Groups, table: Table, limbs: int) -> Gr
 
 def _pack(coeffs: dict[int, int], size: int) -> int:
     """The sum of c z^k over ``{k: c}`` at z = 2^(8 size), for k >= 0 and
-    |c| < 2^(8 size - 1), written as bytes in time linear in the bytes: each
-    c into its own field in two's complement, and the borrow a negative
-    field takes from the next one is subtracted after."""
-    digits = bytearray(size * (max(coeffs) + 2))
-    borrows = bytearray(len(digits))
+    |c| < 2^(8 size - 1), written as bytes in time linear in the bytes: as
+    balanced digits, each field holds c + 2^(8 size - 1) in a buffer that
+    holds that bias in every field, and the biases are subtracted once."""
+    bias = (bytes(size - 1) + b"\x80") * (max(coeffs) + 1)
+    digits = bytearray(bias)
+    half = 1 << 8 * size - 1
     for k, c in coeffs.items():
-        digits[k * size : k * size + size] = c.to_bytes(size, "little", signed=True)
-        if c < 0:
-            borrows[k * size + size] = 1
-    return int.from_bytes(digits, "little") - int.from_bytes(borrows, "little")
+        digits[k * size : k * size + size] = (c + half).to_bytes(size, "little")
+    return int.from_bytes(digits, "little") - int.from_bytes(bias, "little")
 
 
 Masks = dict[LineBundleClass, int]
@@ -346,8 +344,9 @@ def _grouped_support(left: Masks, right: Masks, rows: Rows) -> Masks:
     Each map is ``{twist: mask}``, with bit k of the mask set iff E_k occurs.
     The rule of :func:`tensor_rank_indices` reads E_r (x) E_q as the pieces
     E_{r+q-1-2j} for j < min(r, q).  So for a right rank q and each j < q,
-    the left ranks r > j, the mask with its low j + 1 bits cleared, give
-    their j-th pieces all at once: that mask shifted by q - 1 - 2j.
+    the left ranks r > j give their j-th pieces all at once: the mask
+    shifted right by j + 1, which drops the ranks r <= j, then left by
+    q - j, so each r > j lands on r + q - 1 - 2j.
 
     The row of a left twist s is ``[(s * t, ranks of t's mask)]`` over the
     right twists t.  ``rows`` keeps the rows across calls that share one
@@ -363,9 +362,7 @@ def _grouped_support(left: Masks, right: Masks, rows: Rows) -> Masks:
             out = products.get(twist, 0)
             for q in ranks:
                 for j in range(q):
-                    high = mask >> (j + 1) << (j + 1)
-                    shift = q - 1 - 2 * j
-                    out |= high << shift if shift >= 0 else high >> -shift
+                    out |= mask >> (j + 1) << (q - j)
             products[twist] = out
     return products
 

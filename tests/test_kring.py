@@ -245,6 +245,21 @@ class TestSummandClosure:
         # S_1 = {L}, S_2 = {O}, S_3 = {L}: closed after the second step
         assert self.left_operand_sizes(monkeypatch, atiyah(1, L12), 4) == [1, 1]
 
+    def test_tall_closure_follows_the_rank_rule(self):
+        # The ranks of E_(r_1) (x) ... (x) E_(r_n) are the k = S + 1 (mod 2)
+        # with max(2M - S, 0) + 1 <= k <= S + 1, for S = sum(r_i - 1) and
+        # M = max(r_i - 1).  The support kernel's shifts run to j = 1999.
+        expected = {
+            Indecomposable(k)
+            for n in (1, 2, 3)
+            for s in [1999 * n]
+            for k in range(max(2 * 1999 - s, 0) + 1, s + 2)
+            if k % 2 != s % 2
+        }
+        assert len(expected) == 4999  # the odd ranks 1-3999 and the even ranks 2-5998
+        closure = summand_closure(atiyah(2000), 3)
+        assert (closure.classes, closure.stabilized) == (expected, False)
+
     def test_zero_object(self):
         closure = summand_closure(ZERO, 3)
         assert closure.classes == frozenset()
