@@ -23,12 +23,13 @@ result.  The ranks combine along one of two paths, picked per product by a
 cost rule from sizes known before any rank is touched.  The triple loop
 adds each piece E_k on its own.  The packed path multiplies SL2 characters
 packed into integers (the Brauer-Klimyk rule over Kronecker substitution),
-one integer product per twist pair.  The rule weighs the loop's pieces
-against the packed path's output fields times limbs, with one constant set
-on the kernel calls of the ``tensor`` benchmark round (``_PACKED_COST``):
-``big * big``, ``big = (E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6``, packs and
-its kernel time falls from 7.2 to 2.9 ms, while tall-and-thin products such
-as ``E[100000] * E[100000]`` keep the loop.  Summand closures need only
+one integer product per twist pair.  The rule weighs a bound on the
+loop's pieces against the packed path's output fields times limbs, with
+one constant set on the kernel calls of the ``tensor`` benchmark round
+(``_PACKED_COST``): ``big * big``, where
+``big = (E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6``, packs and its kernel
+time falls from 7.2 to 2.9 ms, while tall-and-thin products such as
+``E[100000] * E[100000]`` keep the loop.  Summand closures need only
 which classes occur, so they use its support form, ``_grouped_support``,
 on ``{twist: rank bitmask}`` maps: the pieces E_{r+q-1-2j}, j < min(r, q),
 of E_r (x) E_q are one pair of shifts of a mask per j, and a closure keeps
@@ -162,16 +163,17 @@ def _by_twist(items: Iterable[tuple[Indecomposable, Coeff]]) -> Groups:
     return groups
 
 
-# The packed path runs when the loop's pieces exceed this many times the
-# packed cost: output fields times limbs, plus one output twist's fields for
-# the path's fixed work.  Fitted on the 555 kernel calls of the `tensor`
-# round, seeds 1-3, each timed on both paths without the twist table (best
-# of 7; Python 3.11.7, 2-CPU x86-64 Linux), with `big * big` counted three
-# times as the round runs it: 85.0 ms on the loop alone, 46.4 ms at 1.0,
-# 44.8 ms at 1.5, 45.2 ms at 2.0.  At 1.5 the worst call packed takes 1.86
-# times the loop's time (2 fields per twist onto 50 output twists), and
-# chains x * E[q], q <= 6, such as E[6]^15 * E[6], stay on the loop.
-_PACKED_COST = 1.5
+# The packed path runs when the bound on the loop's pieces exceeds this many
+# times the packed cost: output fields times limbs, plus one output twist's
+# fields for the path's fixed work.  Fitted on the 531 kernel calls of the
+# `tensor` round, seeds 1-3, each timed on both paths without the twist table
+# (best of 5, interleaved; Python 3.11.7, 2-CPU x86-64 Linux), with `big * big`
+# counted three times as the round runs it: 78.4 ms on the loop alone, 39.9 ms
+# at 1.5, 39.1 ms at 2.0, 38.7 ms at 2.5.  On the 1,386 calls of seeds 4-10:
+# 198.1 ms on the loop, 99.5 ms at 2.0.  At 2.0 the worst call packed takes
+# twice the loop's time, and untwisted chains x * E[q], q <= 8, stay on the
+# loop.
+_PACKED_COST = 2.0
 
 Table = tuple[list[list[dict[int, Coeff]]], Groups]
 
@@ -196,10 +198,12 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
 
     Each pair of twists is multiplied once, for either of two paths, and a
     cost rule picks the path from sizes known before any rank is combined.
-    The loop's cost is its piece count, the sum of min(r, q) over every left
-    rank r and right rank q of every twist pair.  The packed path's cost is
-    its output fields (output twists, plus one for its fixed work, times
-    fields per twist) times the limbs per field.  Both paths return the same
+    The loop's cost is a bound on its pieces, the sum of min(r, q) over every
+    left rank r and right rank q of every twist pair: with rs and qs the
+    lists of those ranks, min(len(rs) * sum(qs), len(qs) * sum(rs)), since
+    min(r, q) is at most r and at most q.  The packed path's cost is its
+    output fields (output twists, plus one for its fixed work, times fields
+    per twist) times the limbs per field.  Both paths return the same
     coefficients, but only the loop keeps coefficients that cancel, as zeros.
     """
     table = _twist_table(left, right)
@@ -207,30 +211,12 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
     qs = list(chain.from_iterable(right.values()))
     if rs and qs:
         cost = _PACKED_COST * (len(table[1]) + 1) * (max(rs) + 2 * max(qs) - 1)
-        # min(r, q) is at most r and at most q, so most products that stay on
-        # the loop are told by a bound, without counting their pieces.
-        if min(len(rs) * sum(qs), len(qs) * sum(rs)) > cost:
-            pieces = _pieces(rs, qs)
-            # The limbs walk every coefficient, so they are counted only
-            # when they decide.
-            if pieces > cost:
-                limbs = _limbs(left, right)
-                if pieces > cost * limbs:
-                    return _packed_product(left, right, table, limbs)
+        bound = min(len(rs) * sum(qs), len(qs) * sum(rs))
+        # The limbs walk every coefficient, so they are counted only when
+        # the bound alone passes the packed cost.
+        if bound > cost and bound > cost * (limbs := _limbs(left, right)):
+            return _packed_product(left, right, table, limbs)
     return _loop_product(left, right, table)
-
-
-def _pieces(rs: list[int], qs: list[int]) -> int:
-    """The sum of min(r, q) over every r in rs and q in qs: each r adds the
-    q below it and r for each q from r up, read off both lists sorted."""
-    rs, qs = sorted(rs), sorted(qs)
-    pieces = low = j = 0
-    for r in rs:
-        while j < len(qs) and qs[j] < r:
-            low += qs[j]
-            j += 1
-        pieces += low + r * (len(qs) - j)
-    return pieces
 
 
 def _loop_product(left: Groups, right: Groups, table: Table) -> Groups:

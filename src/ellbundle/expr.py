@@ -245,9 +245,10 @@ def evaluate(node: tuple) -> BundleObject:
     Recursion is as deep as the input's nesting: a chain is one node, a sum
     is normalized once over all its summands, and a tensor chain is folded
     from the left.  A power of a single rank-1 class is computed in closed
-    form; any other power is a chain of products, since squaring general
-    objects was measured to be slower.  A closed-form c^n with more digits
-    than Python converts to text is refused before it is computed.
+    form, a power n >= 1 of the zero object is zero, and any other power is
+    a chain of products, since squaring general objects was measured to be
+    slower.  A closed-form c^n with more digits than Python converts to
+    text is refused before it is computed.
     """
     head = node[0]
     if head == "E":
@@ -262,6 +263,8 @@ def evaluate(node: tuple) -> BundleObject:
         return evaluate(node[1]).dual()
     if head == "^":
         base, power = evaluate(node[1]), node[2]
+        if base.is_zero:
+            return base if power else UNIT
         if len(base.summands) == 1 and base.summands[0][0].rank == 1:  # (c*L)^n = c^n * L^n
             (ind, count), = base.summands
             limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7

@@ -21,7 +21,7 @@ classes can be shared between threads without synchronisation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 __all__ = ["INFINITE", "TRIVIAL", "LineBundleClass", "line_class"]
@@ -63,6 +63,8 @@ class LineBundleClass:
         for t in (t1, t2):
             if not isinstance(t, Fraction) or not 0 <= t < 1:
                 raise ValueError(f"torsion coordinate {t!r} is not reduced into [0, 1)")
+        if type(free) is not tuple or not all(type(pair) is tuple and len(pair) == 2 for pair in free):
+            raise TypeError("free must be a tuple of (name, exponent) tuples")
         names = [name for name, _ in free]
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("free part must be strictly sorted by generator name")
@@ -187,6 +189,8 @@ def line_class(
     pairs: list[tuple[str, int]] = []
     if free:
         pairs = list(free.items() if isinstance(free, Mapping) else free)
+    if not all(isinstance(pair, Sequence) and len(pair) == 2 for pair in pairs):
+        raise TypeError("free must be a mapping or (name, exponent) pairs")
     if any(type(exp) is not int for _, exp in pairs):
         raise TypeError("free exponents must be integers")
     return LineBundleClass(Fraction(t1) % 1, Fraction(t2) % 1, _merge_free(pairs))

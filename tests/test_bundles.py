@@ -192,22 +192,28 @@ class TestKernelPaths:
                 assert each_path(left, right) == [expected, expected]
 
     @pytest.mark.parametrize(
-        "left, right, path",
+        "left, right, paths",
         [
-            ("E[100000]", "E[100000]", "_loop_product"),  # three packed fields per piece
-            ("E[2]^300", "E[2]", "_loop_product"),  # 5-limb fields for about 300 pieces
-            (f"{BIG}^6", f"{BIG}^6", "_packed_product"),  # 784 twist pairs onto 91 twists
+            ("E[100000]", "E[100000]", ["_loop_product"]),  # three packed fields per piece
+            ("E[2]^300", "E[2]", ["_loop_product"]),  # 5-limb fields for about 300 pieces
+            (f"{BIG}^6", f"{BIG}^6", ["_packed_product"]),  # 784 twist pairs onto 91 twists
+            (BIG, BIG, ["_loop_product"] * 11),  # each step of the chain BIG^12
+            ("E[2]^40", "E[2]^40", ["_packed_product"]),  # two-limb fields
         ],
-        ids=["tall-and-thin", "multi-limb", "big-times-big"],
+        ids=["tall-and-thin", "multi-limb", "big-times-big", "big-chain", "two-limb"],
     )
-    def test_the_rule_picks(self, monkeypatch, left, right, path):
+    def test_the_rule_picks(self, monkeypatch, left, right, paths):
+        # left * right * right ..., one product per path, as a power chain runs.
         a, b = parse_object(left), parse_object(right)  # before the spies: parsing multiplies too
         chosen = []
         for name in ("_loop_product", "_packed_product"):
             kernel = getattr(bundles, name)
             monkeypatch.setattr(bundles, name, lambda *a, name=name, kernel=kernel: chosen.append(name) or kernel(*a))
-        assert (a * b).rank() == a.rank() * b.rank()
-        assert chosen == [path]
+        product = a
+        for _ in paths:
+            product = product * b
+        assert product.rank() == a.rank() * b.rank() ** len(paths)
+        assert chosen == paths
 
 
 class TestDual:

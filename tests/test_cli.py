@@ -267,6 +267,19 @@ class TestLongInput:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[1]\n", "")
 
+    @pytest.mark.parametrize(
+        "verb, text, answer",
+        [("rank", "Z^100000000000", "0\n"),
+         ("classify", "(0*E[2])^100000000000", "finite=true semifinite=true unipotent=true\n")],
+    )
+    def test_huge_power_of_the_zero_object(self, verb, text, answer):
+        # Z^n is Z for n >= 1, answered without a chain of n empty products.
+        done = subprocess.run(
+            [sys.executable, "-m", "ellbundle", verb, text],
+            capture_output=True, env=child_env(), text=True, timeout=5,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, answer, "")
+
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-text limit"
     )

@@ -128,6 +128,7 @@ class TestEvaluation:
         assert parse_object("E[2]^0") == UNIT
         assert parse_object("E[2]^2") == parse_object("E[1] + E[3]")
         assert parse_object("Z^0") == UNIT
+        assert parse_object("Z^3") == parse_object("(0*E[2])^1") == ZERO
 
     def test_power_of_a_sum(self):
         big = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)"

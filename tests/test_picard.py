@@ -75,6 +75,15 @@ def test_constructor_rejects_non_canonical():
     assert LineBundleClass(free=(("_G9", 1),)).free == (("_G9", 1),)
     with pytest.raises(TypeError):
         LineBundleClass(free=((5, 1),))
+    # The free part is a tuple of (name, exponent) tuples, as line_class's
+    # items are pairs; anything else is refused with a message naming it.
+    for free in [[("a", 1)], (["a", 1],), (("a", 1, 2),), (("a",),), ("a1",)]:
+        with pytest.raises(TypeError, match=r"free must be a tuple of \(name, exponent\) tuples"):
+            LineBundleClass(Fraction(0), Fraction(0), free)
+    for free in [[("a", 1, 2)], [("a",)], [5], {("a", 1, 2)}]:
+        with pytest.raises(TypeError, match=r"free must be a mapping or \(name, exponent\) pairs"):
+            line_class(free=free)
+    assert line_class(free=[["a", 1], ("a", 1)]).free == (("a", 2),)
 
 
 def test_str_forms():
