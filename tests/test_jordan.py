@@ -172,9 +172,36 @@ class TestJordanTensor:
             assert jordan_tensor(1, n) == (n,)
 
     def test_symmetry(self):
-        for r in range(1, 7):
-            for s in range(1, r + 1):
-                assert jordan_tensor(r, s) == jordan_tensor(s, r)
+        # Each orientation from a cold cache, so neither reads the other's entry.
+        for r in range(1, 13):
+            for s in range(1, min(r, 6)):
+                jordan_tensor.cache_clear()
+                wide = jordan_tensor(r, s)
+                jordan_tensor.cache_clear()
+                assert jordan_tensor(s, r) == wide, (r, s)
+
+    def test_cache_holds_both_orientations_and_nothing_else(self):
+        # The oracle bench clears this cache before every query to stand for a
+        # cold process, and its tracer counts hits through cache_info().
+        import ellbundle.jordan
+
+        caches = [name for name, value in vars(ellbundle.jordan).items() if hasattr(value, "cache_info")]
+        assert caches == ["jordan_tensor"]
+        jordan_tensor.cache_clear()
+        assert jordan_tensor(5, 3) == (7, 5, 3)
+        info = jordan_tensor.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 0)
+        assert jordan_tensor(5, 3) == jordan_tensor(3, 5) == (7, 5, 3)
+        info = jordan_tensor.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+        jordan_tensor(5, 1)
+        for args in [(True, 5), (5, True), (1, 5.0), (5.0, 1)]:
+            with pytest.raises(TypeError):
+                jordan_tensor(*args)
+        jordan_tensor.cache_clear()
+        assert jordan_tensor(3, 5) == (7, 5, 3)
+        info = jordan_tensor.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
 
     def test_partition_shape(self):
         for r in range(1, 6):
@@ -205,8 +232,8 @@ class TestJordanTensor:
                 assert rank_profile(dense_nilpotent_sum(r, s)) == dense_rank_profile(r, s), (r, s)
 
     def test_matches_dense_kronecker_rank_profile(self):
-        for r in range(1, 7):
-            for s in range(1, 7):
+        for r in range(1, 8):
+            for s in range(1, 8):
                 assert jordan_tensor(r, s) == dense_rank_profile(r, s), (r, s)
 
 
