@@ -75,8 +75,8 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
 
     Takes a verb, then one run of arguments that do not start with '-', with
     the verb's options before or after it: ``--json``, ``--file PATH`` and
-    its integer option with ASCII digits.  No option value may start with
-    '-'.  Returns None for any other argv, which argparse then parses.
+    its integer option with ASCII digits that int() reads.  No option value
+    may start with '-'.  Any other argv gives None, for argparse to parse.
     """
     if not argv or argv[0] not in _VERBS:
         return None
@@ -102,7 +102,10 @@ def _fast_args(argv: Sequence[str]) -> SimpleNamespace | None:
         if token == "--file":
             args.file = value
         elif token == option and value.isascii() and value.isdigit():
-            setattr(args, _dest(option), int(value))
+            try:
+                setattr(args, _dest(option), int(value))
+            except ValueError:  # more digits than the int-conversion limit
+                return None
         else:
             return None
     return args

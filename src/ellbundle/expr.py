@@ -7,6 +7,7 @@
     atom   := 'E' '[' INT ']' | 'L' '[' frac ',' frac ']' | 'T' IDENT
             | 'O' | 'Z'
     frac   := '-'? INT ('/' INT)?
+    IDENT  := [A-Za-z_][A-Za-z0-9_]*
 
 '+' is direct sum and '*' tensor, so '*' binds tighter; '~' (dual) and '^'
 (tensor power, exponent >= 0) bind tighter still, and both binary operators
@@ -64,7 +65,7 @@ class ParseError(ValueError):
 
 class ExprValidationError(ParseError):
     """Well-formed syntax carrying an invalid value (rank 0, zero denominator,
-    an integer literal longer than int() reads)."""
+    an integer literal longer than int() reads, a name starting with a digit)."""
 
 
 # -- tokenizer -------------------------------------------------------------
@@ -106,6 +107,8 @@ def _tokenize(text: str) -> list[_Token]:
             if word in ("E", "L", "O", "Z"):
                 tokens.append(_Token(word, word, start))
             elif word[0] == "T" and len(word) > 1:
+                if word[1] in _DIGITS:
+                    raise ExprValidationError(f"invalid generator name {word[1:]!r}", start + 1)
                 tokens.append(_Token("T<name>", word[1:], start))
             elif word == "T":
                 raise ParseError("missing generator name after 'T'", start, frozenset({"T<name>"}))

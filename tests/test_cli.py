@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ellbundle import cli
 from ellbundle.cli import _VERBS, _build_parser, main
@@ -142,9 +142,9 @@ class TestErrors:
         assert f"parse error: unexpected character {text[offset]!r} at offset {offset}" in err
 
     def test_validation_error_exit_code(self, capsys):
-        code, _, err = run(capsys, "rank", "E[0]")
-        assert code == 2
-        assert "rank must be at least 1" in err
+        for text, message in [("E[0]", "rank must be at least 1 at offset 2"),
+                              ("T9a", "invalid generator name '9a' at offset 1")]:
+            assert run(capsys, "rank", text) == (2, "", f"parse error: {message}\n")
 
     def test_too_long_integer_literal(self, capsys):
         code, out, err = run(capsys, "rank", "E[" + "9" * 5000 + "]")
@@ -163,6 +163,21 @@ class TestErrors:
         code, out, err = run(capsys, verb, f"({big}*E[1])*({big}*E[1])", *mode)
         assert (code, out) == (3, "")
         assert err == f"error: result has more than {limit} digits (int-to-text limit {limit})\n"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-text limit"
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [("summands", "E[2]", "--max-power"), ("oracle-check", "E[2]", "E[2]", "--modulus")],
+        ids=["max-power", "modulus"],
+    )
+    def test_option_past_the_int_limit_is_a_usage_error(self, argv):
+        # argparse reports it, as it does for --max-power=<digits>.
+        code, out, err = run_caught([*argv, "9" * (sys.get_int_max_str_digits() + 1)])
+        assert (code, out) == (2, "")
+        assert f"error: argument {argv[-1]}: invalid int value: '999" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -491,6 +506,7 @@ class TestArgparseOwned:
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.sampled_from(TOKENS), max_size=7))
+    @example(["summands", "E[2]", "--max-power", "9" * 5000])
     def test_fast_path_agrees_with_argparse(self, argv):
         fast = cli._fast_args(argv)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

@@ -80,6 +80,12 @@ class TestParseErrors:
             parse(text)
         assert info.value.offset == 2
 
+    @pytest.mark.parametrize("text, name, offset", [("T1", "1", 1), ("E[2] * T9a", "9a", 8)])
+    def test_generator_name_starting_with_a_digit(self, text, name, offset):
+        with pytest.raises(ExprValidationError) as info:
+            parse(text)
+        assert str(info.value) == f"invalid generator name {name!r} at offset {offset}"
+
     def test_syntax_error_carries_offset_and_expected(self):
         with pytest.raises(ParseError) as info:
             parse("E[2] +")

@@ -84,21 +84,26 @@ def dense_rank_profile(r, s):
     return rank_profile(dense_nilpotent(r, s))
 
 
-entries = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+def entries(bound):
+    return st.integers(-bound, bound) | st.builds(Fraction, st.integers(-bound, bound), st.integers(1, bound))
+
+
+@st.composite
+def matrices(draw):
+    """Up to 10 columns of small or large entries, and rows that are integer
+    combinations of earlier rows, so that large rows are also spanned."""
+    cols = draw(st.integers(0, 10))
+    row = st.lists(entries(6) | entries(10**4), min_size=cols, max_size=cols)
+    rows = draw(st.lists(row | st.just([0] * cols), max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        rows.append([a * x + b * y for x, y in zip(u, v)])
+    return draw(st.permutations(rows))
 
 
 class TestExactRank:
-    @given(
-        st.integers(0, 6).flatmap(
-            lambda cols: st.lists(
-                st.one_of(
-                    st.lists(entries, min_size=cols, max_size=cols),
-                    st.just([0] * cols),
-                ),
-                max_size=7,
-            )
-        )
-    )
+    @given(matrices())
     def test_matches_fraction_elimination(self, rows):
         assert exact_rank(rows) == fraction_rank(rows)
 
