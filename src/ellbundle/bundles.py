@@ -4,11 +4,13 @@ Every indecomposable degree-0 bundle is ``E_r (x) L``: the rank-r Atiyah
 bundle (the unique indecomposable of rank r and degree 0 with a nonzero
 global section, built by iterated self-extensions of the trivial bundle)
 twisted by a degree-0 line bundle class.  A general object is a finite
-multiset of indecomposables; keeping the multiset sorted, by rank and then
-by the twist's ``sort_key``, makes it a normal form, so ``==`` decides
-isomorphism.  The ring elements of :mod:`ellbundle.kring` share that normal
-form, with nonzero fractions in place of multiplicities; :class:`_Combination`
-holds it for both.
+multiset of indecomposables, stored grouped by twist as
+``{twist: {rank: multiplicity}}`` with no zero entry.  By Krull-Schmidt that
+map is a normal form, so ``==`` decides isomorphism.  The ring elements of
+:mod:`ellbundle.kring` share it, with nonzero fractions in place of
+multiplicities; :class:`_Combination` holds it for both, and builds the
+summands sorted by rank and then by the twist's ``sort_key`` only when they
+are read.
 
 The tensor product follows the Clebsch-Gordan pattern
 
@@ -17,13 +19,13 @@ The tensor product follows the Clebsch-Gordan pattern
 
 One kernel, ``_grouped_product``, computes every object and ring product.
 It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
-pair of distinct twists is multiplied once; normal forms are sorted
-straight from its groups, and indecomposables are built only for the
-result.  The ranks combine along one of two paths, picked per product by a
-cost rule from sizes known before any rank is touched.  The triple loop
-adds each piece E_k on its own.  The packed path multiplies SL2 characters
-packed into integers (the Brauer-Klimyk rule over Kronecker substitution),
-one integer product per twist pair.  The rule weighs a bound on the
+pair of distinct twists is multiplied once, and its output map is the
+product's stored form: no indecomposable is built and nothing is sorted
+until the summands are read.  The ranks combine along one of two paths,
+picked per product by a cost rule from sizes known before any rank is
+touched.  The triple loop adds each piece E_k on its own.  The packed path
+multiplies SL2 characters packed into integers (the Brauer-Klimyk rule over
+Kronecker substitution), one integer product per twist pair.  The rule weighs a bound on the
 loop's pieces against the packed path's output fields times limbs, with
 one constant set on the kernel calls of the ``tensor`` benchmark round
 (``_PACKED_COST``): ``big * big``, where
@@ -46,6 +48,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, sub
 
@@ -69,8 +72,8 @@ def tensor_rank_indices(r: int, s: int) -> tuple[int, ...]:
     return tuple(range(abs(r - s) + 1, r + s, 2))
 
 
-# Bound once for Indecomposable._trusted, which closures and normal forms
-# call for every class they build.
+# Bound once for Indecomposable._trusted, which closures and sorted views
+# call for every class they build, and for _Combination._from_groups.
 _new, _set = object.__new__, object.__setattr__
 
 
@@ -354,15 +357,24 @@ def _grouped_support(left: Masks, right: Masks, rows: Rows) -> Masks:
 
 
 class _Combination(_Frozen):
-    """Indecomposables with coefficients, strictly sorted by ``sort_key`` and
-    with no zero coefficient, so ``==`` decides equality.
+    """Indecomposables with nonzero coefficients, stored twist-grouped as
+    ``_groups``, ``{twist: {rank: coefficient}}`` with no zero coefficient
+    and no empty twist.  By Krull-Schmidt that map is a normal form, so
+    ``==`` compares the maps.
 
-    A subclass names its one field of pairs (``fields=("summands",)``), read
-    through ``_pairs``, and gets the constructor.  ``_coerce`` converts a
-    coefficient given to :meth:`of`, ``_valid`` accepts a stored one.  Only
-    the constructor, which takes outside pairs, checks them:
-    :meth:`_from_groups` sorts rows with distinct keys and coerced
-    coefficients, so its normal forms hold without a check.
+    A subclass names one field (``fields=("summands",)``) and binds it to
+    ``cached_property(_Combination._sorted)``: a read-only view of the pairs
+    strictly sorted by ``sort_key``, built on the first read and then kept.
+    Printing, the hash, the repr and public iteration read it; every
+    operation of the algebra reads the map.  Two threads reading the view
+    first may both build it, and each sees an equal tuple.  The stored rank
+    maps may be shared between values (``dual`` reuses them, a product keeps
+    the kernel's), so nothing writes into one after its value is built.
+
+    ``_coerce`` converts a coefficient given to :meth:`of`, ``_valid``
+    accepts a stored one.  Only the constructor, which takes outside pairs,
+    checks them; :meth:`_from_groups` trusts its map's keys and coefficients
+    and only drops zeros.
     """
 
     def __init__(self, pairs: tuple = ()) -> None:
@@ -376,9 +388,25 @@ class _Combination(_Frozen):
             raise ValueError(f"{field} must be strictly sorted")
         if not all(self._valid(coeff) for _, coeff in pairs):
             raise ValueError(f"invalid coefficient in {field}")
-        super().__init__(pairs)
+        _set(self, "_groups", _by_twist(pairs))
+        _set(self, field, pairs)
 
-    _pairs = property(lambda self: getattr(self, self._fields[0]))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._groups == other._groups
+
+    __hash__ = _Frozen.__hash__
+
+    def _sorted(self) -> tuple:
+        """The pairs of the map, strictly sorted by ``sort_key``."""
+        rows = []
+        for twist, ranks in self._groups.items():
+            key = twist.sort_key()
+            rows.extend((rank, key, twist, coeff) for rank, coeff in ranks.items())
+        rows.sort()  # the keys (rank, twist key) are distinct: no twist is compared
+        trusted = Indecomposable._trusted
+        return tuple((trusted(rank, twist), coeff) for rank, _, twist, coeff in rows)
 
     @classmethod
     def of(
@@ -397,46 +425,66 @@ class _Combination(_Frozen):
 
     @classmethod
     def _from_groups(cls, groups: Groups):
-        """The normal form of a twist-grouped map; zero coefficients are dropped.
+        """The value of a twist-grouped map; zero coefficients are dropped,
+        and so is a twist left with no rank.
 
         Trusted: every caller (:meth:`of` after ``_coerce``, ``+``, ``*``,
-        ``dual``, ``jh_factors``, ring products) passes one entry per twist
-        and one per rank in it, so the keys ``(rank, twist key)`` are
-        distinct, and ``rows.sort()`` never compares twists and sorts
-        strictly; a nonzero sum or product of coerced coefficients is valid.
-        Every rank comes from a built class or from the kernel's rule, so it
-        is a positive int, and the classes are built by ``_trusted``.
+        ``dual``, ``jh_factors``, ring products) passes positive int ranks
+        and coerced coefficients, whose nonzero sums and products are valid.
+        The map is kept, not copied, so the caller hands it over.
         """
-        rows = []
-        for twist, ranks in groups.items():
-            key = twist.sort_key()
-            rows.extend((rank, key, twist, coeff) for rank, coeff in ranks.items() if coeff)
-        rows.sort()
-        pairs = tuple((Indecomposable._trusted(rank, twist), coeff) for rank, _, twist, coeff in rows)
-        out = object.__new__(cls)
-        object.__setattr__(out, cls._fields[0], pairs)
+        rank_maps = groups.values()
+        if not all(rank_maps) or not all(map(all, map(dict.values, rank_maps))):
+            groups = {
+                twist: kept
+                for twist, ranks in groups.items()
+                if (kept := {rank: coeff for rank, coeff in ranks.items() if coeff})
+            }
+        out = _new(cls)
+        _set(out, "_groups", groups)
         return out
 
     def _scaled(self, c: Coeff):
-        """Every coefficient times c, built through the public constructor."""
-        return type(self)(tuple((ind, coeff * c) for ind, coeff in self._pairs) if c else ())
+        """Every coefficient times c."""
+        return self._from_groups(
+            {twist: {rank: coeff * c for rank, coeff in ranks.items()} for twist, ranks in self._groups.items()}
+            if c
+            else {}
+        )
 
     @property
     def is_zero(self) -> bool:
-        return not self._pairs
+        return not self._groups
+
+    @classmethod
+    def _sum(cls, values: Iterable):
+        """The sum of values of this class, merged map by map.  Each rank map
+        is copied when its twist first appears, so no operand's is written."""
+        out: Groups = {}
+        for value in values:
+            for twist, ranks in value._groups.items():
+                mine = out.get(twist)
+                if mine is None:
+                    out[twist] = dict(ranks)
+                else:
+                    for rank, coeff in ranks.items():
+                        mine[rank] = mine.get(rank, 0) + coeff
+        return cls._from_groups(out)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._from_groups(_by_twist(chain(self._pairs, other._pairs)))
+        return self._sum((self, other))
 
 
 class BundleObject(_Combination, fields=("summands",)):
-    """A direct sum of indecomposables in canonical (sorted multiset) form.
+    """A direct sum of indecomposables, in the normal form of :class:`_Combination`.
 
     The empty multiset is the zero object; ``+`` is direct sum, ``*`` is the
     tensor product and ``n * obj`` an n-fold direct sum.
     """
+
+    summands = cached_property(_Combination._sorted)
 
     _valid = staticmethod(lambda mult: type(mult) is int and mult > 0)
 
@@ -449,7 +497,8 @@ class BundleObject(_Combination, fields=("summands",)):
     # -- structure ----------------------------------------------------
 
     def classes(self) -> frozenset[Indecomposable]:
-        return frozenset(ind for ind, _ in self.summands)
+        trusted = Indecomposable._trusted
+        return frozenset(trusted(rank, twist) for twist, ranks in self._groups.items() for rank in ranks)
 
     # An own binding, not the inherited one: bench/tracer.py wraps it by
     # name and would otherwise wrap the base method that RingElement calls too.
@@ -459,7 +508,7 @@ class BundleObject(_Combination, fields=("summands",)):
     def __mul__(self, other: "BundleObject") -> "BundleObject":
         if not isinstance(other, BundleObject):
             return NotImplemented
-        return BundleObject._from_groups(_grouped_product(_by_twist(self.summands), _by_twist(other.summands)))
+        return BundleObject._from_groups(_grouped_product(self._groups, other._groups))
 
     def __rmul__(self, count: int) -> "BundleObject":
         if type(count) is not int:
@@ -469,44 +518,44 @@ class BundleObject(_Combination, fields=("summands",)):
         return self._scaled(count)
 
     def dual(self) -> "BundleObject":
-        return BundleObject._from_groups({~t: ranks for t, ranks in _by_twist(self.summands).items()})
+        return BundleObject._from_groups({~t: ranks for t, ranks in self._groups.items()})
 
     # -- numerical invariants ------------------------------------------
 
     def rank(self) -> int:
-        return sum(ind.rank * mult for ind, mult in self.summands)
+        return sum(rank * mult for ranks in self._groups.values() for rank, mult in ranks.items())
 
     def det(self) -> LineBundleClass:
         out = TRIVIAL
-        for ind, mult in self.summands:
-            out = out * ind.twist ** (ind.rank * mult)
+        for twist, ranks in self._groups.items():
+            out = out * twist ** sum(rank * mult for rank, mult in ranks.items())
         return out
 
     def gamma_dim(self) -> int:
         """Dimension of the space of global sections."""
-        return sum(mult for ind, mult in self.summands if ind.twist.is_trivial)
+        return sum(self._groups.get(TRIVIAL, {}).values())
 
     # -- classifiers ----------------------------------------------------
 
     @property
     def is_unipotent(self) -> bool:
         """True iff every summand is an untwisted E_r."""
-        return all(ind.twist.is_trivial for ind, _ in self.summands)
+        return all(twist.is_trivial for twist in self._groups)
 
     @property
     def is_finite(self) -> bool:
         """True iff the object is a sum of torsion line bundles."""
-        return all(ind.rank == 1 and ind.twist.is_torsion for ind, _ in self.summands)
+        return all(ranks.keys() == {1} and twist.is_torsion for twist, ranks in self._groups.items())
 
     @property
     def is_semifinite(self) -> bool:
         """True iff every twist is torsion (ranks unconstrained)."""
-        return all(ind.twist.is_torsion for ind, _ in self.summands)
+        return all(twist.is_torsion for twist in self._groups)
 
     def jh_factors(self) -> "BundleObject":
         """Semisimplification: E_r (x) L filters with r quotients equal to L."""
-        return BundleObject.of(
-            (Indecomposable(1, ind.twist), ind.rank * mult) for ind, mult in self.summands
+        return BundleObject._from_groups(
+            {twist: {1: sum(rank * mult for rank, mult in ranks.items())} for twist, ranks in self._groups.items()}
         )
 
     def __str__(self) -> str:
@@ -532,10 +581,10 @@ def hom_dim(a: BundleObject, b: BundleObject) -> int:
     Agrees with ``(a.dual() * b).gamma_dim()``, i.e. with counting sections
     of the internal Hom.
     """
-    right = _by_twist(b.summands)
+    right = b._groups
     return sum(
         mx * my * min(r, s)
-        for twist, left_ranks in _by_twist(a.summands).items()
+        for twist, left_ranks in a._groups.items()
         for r, mx in left_ranks.items()
         for s, my in right.get(twist, {}).items()
     )

@@ -246,8 +246,10 @@ def evaluate(node: tuple) -> BundleObject:
     """Evaluate a syntax tree to a bundle object in normal form.
 
     Recursion is as deep as the input's nesting: a chain is one node, a sum
-    is normalized once over all its summands, and a tensor chain is folded
-    from the left.  A power of a single rank-1 class is computed in closed
+    merges its arguments' twist-grouped maps at once, and a tensor chain is
+    folded from the left.  No node builds the sorted summands; they are
+    built only if the caller reads them.  A power of a single rank-1 class,
+    one twist with one rank-1 entry in the map, is computed in closed
     form, a power n >= 1 of the zero object is zero, and any other power is
     a chain of products, since squaring general objects was measured to be
     slower.  A closed-form c^n with more digits than Python converts to
@@ -268,20 +270,21 @@ def evaluate(node: tuple) -> BundleObject:
         base, power = evaluate(node[1]), node[2]
         if base.is_zero:
             return base if power else UNIT
-        if len(base.summands) == 1 and base.summands[0][0].rank == 1:  # (c*L)^n = c^n * L^n
-            (ind, count), = base.summands
+        (twist, ranks), *others = base._groups.items()
+        if not others and ranks.keys() == {1}:  # (c*L)^n = c^n * L^n
+            count = ranks[1]
             limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
             # c >= 2^(b-1), b its bit length, so c^n has over (b-1) * n * log10(2) digits.
             if limit and (count.bit_length() - 1) * power > 4 * limit:
                 raise ValueError(digit_limit_message())
-            return count ** power * atiyah(1, ind.twist ** power)
+            return count ** power * atiyah(1, twist ** power)
         return reduce(operator.mul, repeat(base, power - 1), base) if power else UNIT
     if head == "n*":
         return node[1] * evaluate(node[2])
     if head == "*":
         return reduce(operator.mul, map(evaluate, node[1:]))
     if head == "+":
-        return BundleObject.of(pair for arg in node[1:] for pair in evaluate(arg).summands)
+        return BundleObject._sum(map(evaluate, node[1:]))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -241,16 +241,20 @@ def phi_transport(obj: BundleObject, modulus: int) -> ProductObject:
     """
     _check_modulus(modulus)
     acc: Counter[Component] = Counter()
-    for ind, mult in obj.summands:
+    groups = obj._groups
+    # Twists in the order of their first summands (lowest rank, then twist),
+    # so an error names the twist of the first summand that fails.
+    for twist in sorted(groups, key=lambda t: (min(groups[t]), t.sort_key())):
         # With b = 0, gcd(a, d) = 1, so the twist's order is d.
-        d, a, b, free = ind.twist.sort_key()
+        d, a, b, free = twist.sort_key()
         if free or b:
             raise TransportError(
-                f"twist {ind.twist} lies outside the cyclic subgroup of order {modulus}"
+                f"twist {twist} lies outside the cyclic subgroup of order {modulus}"
             )
         if modulus % d:
             raise TransportError(
-                f"twist {ind.twist} has order not dividing the modulus {modulus}"
+                f"twist {twist} has order not dividing the modulus {modulus}"
             )
-        acc[(a * (modulus // d), ind.rank)] += mult
+        for rank, mult in groups[twist].items():
+            acc[(a * (modulus // d), rank)] += mult
     return ProductObject.of(modulus, acc)

@@ -3,9 +3,12 @@
 Ring elements are finite rational linear combinations of indecomposables;
 addition models direct sum, multiplication the tensor product.  They share
 the normal form of :class:`~ellbundle.bundles.BundleObject` through one
-base class, with nonzero fractions where objects have positive
-multiplicities; a ring product runs the twist-grouped kernel of
-:mod:`ellbundle.bundles` on integer numerators over one common denominator.
+base class: a twist-grouped map ``{twist: {rank: coefficient}}`` with
+nonzero fractions where objects have positive multiplicities, whose sorted
+``terms`` are built only when read.  A ring product runs the twist-grouped
+kernel of :mod:`ellbundle.bundles` on the maps' integer numerators over one
+common denominator, and stores the kernel's output over that denominator,
+with the coefficients that cancel dropped.
 The module also enumerates summand closures S(E) (all indecomposable
 summands of all tensor powers of an object) on per-twist rank bitmasks, one
 step of the support kernel per power, multiplying each twist pair once per
@@ -20,10 +23,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 
-from .bundles import (BundleObject, Groups, Indecomposable, Rows, _by_twist, _Combination,
-                      _Frozen, _grouped_product, _grouped_support, _mask_ranks)
+from .bundles import (BundleObject, Groups, Indecomposable, Rows, _Combination, _Frozen,
+                      _grouped_product, _grouped_support, _mask_ranks)
 from .picard import INFINITE, TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -42,6 +46,8 @@ __all__ = [
 
 class RingElement(_Combination, fields=("terms",)):
     """A finite rational combination of indecomposable bundle classes."""
+
+    terms = cached_property(_Combination._sorted)
 
     _valid = staticmethod(lambda coeff: type(coeff) is Fraction and coeff != 0)
 
@@ -68,8 +74,8 @@ class RingElement(_Combination, fields=("terms",)):
             return self._scaled(Fraction(other))
         if not isinstance(other, RingElement):
             return NotImplemented
-        xs, dx = _numerators(self.terms)
-        ys, dy = _numerators(other.terms)
+        xs, dx = _numerators(self._groups)
+        ys, dy = _numerators(other._groups)
         den = dx * dy
         return RingElement._from_groups(
             {
@@ -86,11 +92,14 @@ class RingElement(_Combination, fields=("terms",)):
         return " + ".join(f"{coeff}*[{ind}]" for ind, coeff in self.terms)
 
 
-def _numerators(terms) -> tuple[Groups, int]:
-    """The terms grouped by twist as integer numerators over one denominator,
-    the lcm of the coefficients' denominators."""
-    den = math.lcm(*(coeff.denominator for _, coeff in terms))
-    return _by_twist((ind, coeff.numerator * (den // coeff.denominator)) for ind, coeff in terms), den
+def _numerators(groups: Groups) -> tuple[Groups, int]:
+    """A twist-grouped map as integer numerators over one denominator, the
+    lcm of the coefficients' denominators."""
+    den = math.lcm(*(coeff.denominator for ranks in groups.values() for coeff in ranks.values()))
+    return {
+        twist: {rank: coeff.numerator * (den // coeff.denominator) for rank, coeff in ranks.items()}
+        for twist, ranks in groups.items()
+    }, den
 
 
 RING_ZERO = RingElement()
@@ -135,7 +144,7 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
         raise TypeError(f"max_power must be an int, not {type(max_power).__name__}")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    gens = {twist: sum(1 << rank for rank in ranks) for twist, ranks in _by_twist(obj.summands).items()}
+    gens = {twist: sum(1 << rank for rank in ranks) for twist, ranks in obj._groups.items()}
     seen = dict(gens)
     rows: Rows = {}
     step = _grouped_support(gens, gens, rows)

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,14 @@ from ellbundle import (
     hom_dim,
     line_class,
     parse_object,
+    summand_closure,
     tensor_rank_indices,
 )
 from ellbundle import bundles
 from ellbundle.bundles import _grouped_product, _grouped_support
 
-from _strategies import bundle_objects, finite_objects, indecomposables, line_classes, unipotent_objects
+from _strategies import (bundle_objects, finite_objects, indecomposables, line_classes, ring_elements,
+                         unipotent_objects)
 
 L13 = line_class(Fraction(1, 3))
 L23 = line_class(Fraction(2, 3))
@@ -413,7 +417,62 @@ def test_normal_form_is_canonical():
 def test_normal_forms_pass_the_public_constructor(a, b, pairs):
     for x in (a * b, a * a, a + b, a.dual(), (a * b).dual() + a, a.jh_factors(), 3 * a, 0 * a,
               BundleObject.of(pairs), BundleObject.of(dict(pairs)), BundleObject.of(ind for ind, _ in pairs)):
-        assert type(x)(x._pairs) == x
+        assert type(x)(x.summands) == x
+
+
+@given(bundle_objects(max_rank=3), bundle_objects(max_rank=3), st.integers(0, 3))
+def test_objects_are_equal_iff_their_summands_are(a, b, n):
+    # Each line holds values built by different routes that must be equal.
+    routes = [
+        [a * b, b * a],
+        [a + b, b + a, BundleObject.of(a.summands + b.summands), BundleObject(a.summands) + b],
+        [(a * b).dual(), a.dual() * b.dual(), (b.dual() * a.dual()).dual().dual()],
+        [n * a, reduce(operator.add, [a] * n, ZERO), BundleObject.of({ind: n * m for ind, m in a.summands})],
+        [(a + b).dual(), a.dual() + b.dual()],
+    ]
+    for same in routes:
+        assert all(x == same[0] and hash(x) == hash(same[0]) for x in same)
+    values = [x for same in routes for x in same]
+    for x in values:
+        for y in values:
+            assert (x == y) == (x.summands == y.summands)
+
+
+@given(ring_elements(), ring_elements(), bundle_objects(max_rank=3))
+def test_ring_elements_are_equal_iff_their_terms_are(x, y, obj):
+    # x*y + (-(x*y)) cancels every coefficient: zeros and the emptied twists
+    # must both be dropped for it to be RING_ZERO.
+    cancelled = x * y + (-(x * y))
+    assert cancelled == RING_ZERO and cancelled.is_zero and cancelled.terms == ()
+    routes = [
+        [cancelled, RING_ZERO, x - x, x * 0],
+        [x * y, y * x, RingElement.of(dict((x * y).terms))],
+        [(x + y) * (x - y), x * x - y * y],
+        [x + y, RingElement.of(x.terms + y.terms), -(-y - x)],
+        [x * Fraction(2), x + x, Fraction(2) * x],
+        [RingElement.from_object(obj), RingElement.of(obj.summands)],
+    ]
+    for same in routes:
+        assert all(v == same[0] and hash(v) == hash(same[0]) for v in same)
+    values = [v for same in routes for v in same]
+    for v in values:
+        for w in values:
+            assert (v == w) == (v.terms == w.terms)
+
+
+@given(bundle_objects(max_rank=3), bundle_objects(max_rank=3), ring_elements(), ring_elements())
+def test_no_operation_writes_into_a_stored_map(a, b, x, y):
+    # Values share rank maps: dual reuses its operand's, a product keeps the
+    # kernel's.  Copies rebuilt from the sorted pairs before any operation
+    # must still equal every operand and result afterwards.
+    dual, product, ring = a.dual(), a * b, x * y
+    values = [a, b, x, y, dual, product, ring]
+    copies = [type(v)(v.summands if isinstance(v, BundleObject) else v.terms) for v in values]
+    a * b, a + b, a + a, dual + dual, dual * a, product + product, product * dual, 2 * dual
+    hom_dim(a, b), hom_dim(dual, product), summand_closure(a, 3), summand_closure(dual, 2)
+    x * y, x + y, x - x, ring + ring, ring - ring, -ring, RingElement.from_object(dual) * x
+    a.jh_factors(), a.rank(), a.det(), a.gamma_dim(), a.classes()
+    assert values == copies
 
 
 def test_invalid_construction():

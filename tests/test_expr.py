@@ -143,6 +143,22 @@ class TestEvaluation:
         assert parse_object("~(E[2]*Ta)^2") == parse_object("(E[2]*Ta)^2").dual()
         assert parse_object("~(E[2]*Ta)^2") != parse_object("(E[2]*Ta)^2")
 
+    def test_evaluate_builds_classes_only_when_the_summands_are_read(self, monkeypatch):
+        # Every node keeps the twist-grouped map; the 105 classes of big^6
+        # are built once, for the one read of the sorted summands.
+        built = []
+        trusted = Indecomposable._trusted
+
+        def counted(cls, rank, twist):
+            built.append(rank)
+            return trusted(rank, twist)
+
+        monkeypatch.setattr(Indecomposable, "_trusted", classmethod(counted))
+        obj = parse_object("(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6")
+        assert built == []
+        assert len(obj.summands) == 105 and obj.summands is obj.summands
+        assert len(built) == 105
+
     def test_power_chain_starts_from_its_base(self, monkeypatch):
         import ellbundle.bundles
 

@@ -353,6 +353,14 @@ class TestPhiTransport:
         with pytest.raises(TransportError):
             phi_transport(atiyah(1, line_class(Fraction(1, 3))), 5)
 
+    def test_error_names_the_first_failing_summand(self):
+        # The sum's order is not that of its sorted summands E[1]*Tg,
+        # E[1]*L[0,1/5], E[2]*L[1/3,0]; the first of those names the error.
+        obj = atiyah(2, line_class(Fraction(1, 3))) + atiyah(1, line_class(0, Fraction(1, 5)))
+        obj = obj + atiyah(1, line_class(free={"g": 1}))
+        with pytest.raises(TransportError, match=r"^twist Tg lies outside the cyclic subgroup of order 5$"):
+            phi_transport(obj, 5)
+
     def test_functorial_on_small_sweep(self):
         for m in (2, 3):
             for r in range(1, 4):

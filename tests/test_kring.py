@@ -123,7 +123,7 @@ class TestRingOperations:
         for x in (a * b, b * a, a * RING_ZERO, RING_ZERO * b, (a + b) * (a - b), a + b, a - a,
                   cancelled, RingElement.of(a.terms + b.terms), RingElement.from_object(obj),
                   -a, a * Fraction(2, 3), Fraction(-1, 2) * a, a * 0):
-            assert type(x)(x._pairs) == x
+            assert type(x)(x.terms) == x
 
     def test_terms_cancel_within_a_twist_group(self):
         line = basis(1, L12)
