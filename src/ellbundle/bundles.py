@@ -7,10 +7,10 @@ twisted by a degree-0 line bundle class.  A general object is a finite
 multiset of indecomposables, stored grouped by twist as
 ``{twist: {rank: multiplicity}}`` with no zero entry.  By Krull-Schmidt that
 map is a normal form, so ``==`` decides isomorphism.  The ring elements of
-:mod:`ellbundle.kring` share it, with nonzero fractions in place of
-multiplicities; :class:`_Combination` holds it for both, and builds the
-summands sorted by rank and then by the twist's ``sort_key`` only when they
-are read.
+:mod:`ellbundle.kring` share it, with nonzero integer numerators over one
+common denominator in place of multiplicities; :class:`_Combination` holds
+it for both, and builds the summands sorted by rank and then by the twist's
+``sort_key`` only when they are read.
 
 The tensor product follows the Clebsch-Gordan pattern
 
@@ -21,7 +21,9 @@ One kernel, ``_grouped_product``, computes every object and ring product.
 It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
 pair of distinct twists is multiplied once, and its output map is the
 product's stored form: no indecomposable is built and nothing is sorted
-until the summands are read.  The ranks combine along one of two paths,
+until the summands are read.  A product of one rank pair, such as an atom
+product ``E[3]*L[1/4,0]``, goes straight to the loop below, with no cost
+rule and no twist table.  Otherwise the ranks combine along one of two paths,
 picked per product by a cost rule from sizes known before any rank is
 touched.  The triple loop adds each piece E_k on its own.  The packed path
 multiplies SL2 characters packed into integers (the Brauer-Klimyk rule over
@@ -45,6 +47,7 @@ are sums of ``E_r (x) L`` with ``L`` torsion.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -209,6 +212,11 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
     per twist) times the limbs per field.  Both paths return the same
     coefficients, but only the loop keeps coefficients that cancel, as zeros.
     """
+    if len(left) == 1 == len(right):
+        ((s, rs),), ((t, qs),) = left.items(), right.items()
+        if len(rs) == 1 == len(qs):  # one rank pair: the loop, which the rule would pick
+            ranks: dict[int, Coeff] = {}
+            return _loop_product(left, right, ([[ranks]], {s * t: ranks}))
     table = _twist_table(left, right)
     rs = list(chain.from_iterable(left.values()))
     qs = list(chain.from_iterable(right.values()))
@@ -358,24 +366,31 @@ def _grouped_support(left: Masks, right: Masks, rows: Rows) -> Masks:
 
 class _Combination(_Frozen):
     """Indecomposables with nonzero coefficients, stored twist-grouped as
-    ``_groups``, ``{twist: {rank: coefficient}}`` with no zero coefficient
-    and no empty twist.  By Krull-Schmidt that map is a normal form, so
-    ``==`` compares the maps.
+    ``_groups``, ``{twist: {rank: numerator}}`` with no zero numerator and
+    no empty twist, over one positive denominator ``_den`` that shares no
+    factor with every numerator.  Objects keep ``_den == 1`` and their
+    multiplicities as numerators; ring elements keep fractions this way.
+    By Krull-Schmidt the pair is a normal form, so ``==`` compares
+    ``(_den, _groups)``.
 
-    A subclass names one field (``fields=("summands",)``) and binds it to
-    ``cached_property(_Combination._sorted)``: a read-only view of the pairs
-    strictly sorted by ``sort_key``, built on the first read and then kept.
+    A subclass names one field (``fields=("summands",)``) and binds it to a
+    ``cached_property``: a read-only view of the pairs strictly sorted by
+    ``sort_key`` (:meth:`_sorted`), built on the first read and then kept.
     Printing, the hash, the repr and public iteration read it; every
     operation of the algebra reads the map.  Two threads reading the view
     first may both build it, and each sees an equal tuple.  The stored rank
     maps may be shared between values (``dual`` reuses them, a product keeps
-    the kernel's), so nothing writes into one after its value is built.
+    the kernel's, a ring element made from an object keeps the object's),
+    so nothing writes into one after its value is built.
 
     ``_coerce`` converts a coefficient given to :meth:`of`, ``_valid``
-    accepts a stored one.  Only the constructor, which takes outside pairs,
-    checks them; :meth:`_from_groups` trusts its map's keys and coefficients
-    and only drops zeros.
+    accepts a stored one and ``_integral`` brings a map of them to
+    numerators over one denominator.  Only the constructor, which takes
+    outside pairs, checks them; :meth:`_from_groups` trusts its map's keys
+    and numerators and only drops zeros and common factors.
     """
+
+    _den = 1
 
     def __init__(self, pairs: tuple = ()) -> None:
         (field,) = self._fields
@@ -388,18 +403,27 @@ class _Combination(_Frozen):
             raise ValueError(f"{field} must be strictly sorted")
         if not all(self._valid(coeff) for _, coeff in pairs):
             raise ValueError(f"invalid coefficient in {field}")
-        _set(self, "_groups", _by_twist(pairs))
+        groups, den = self._integral(_by_twist(pairs))
+        _set(self, "_groups", groups)
+        _set(self, "_den", den)
         _set(self, field, pairs)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._groups == other._groups
+        return self._den == other._den and self._groups == other._groups
 
     __hash__ = _Frozen.__hash__
 
+    @staticmethod
+    def _integral(groups: Groups) -> tuple[Groups, int]:
+        """Coerced coefficients as numerators over one denominator: for
+        objects, the map itself over 1."""
+        return groups, 1
+
     def _sorted(self) -> tuple:
-        """The pairs of the map, strictly sorted by ``sort_key``."""
+        """The pairs ``(indecomposable, numerator)`` of the map, strictly
+        sorted by ``sort_key``."""
         rows = []
         for twist, ranks in self._groups.items():
             key = twist.sort_key()
@@ -421,17 +445,18 @@ class _Combination(_Frozen):
                 ind, coeff = (item, 1) if isinstance(item, Indecomposable) else item
                 yield ind, cls._coerce(coeff)
 
-        return cls._from_groups(_by_twist(pairs()))
+        return cls._from_groups(*cls._integral(_by_twist(pairs())))
 
     @classmethod
-    def _from_groups(cls, groups: Groups):
-        """The value of a twist-grouped map; zero coefficients are dropped,
-        and so is a twist left with no rank.
+    def _from_groups(cls, groups: Groups, den: int = 1):
+        """The value of a twist-grouped map of int numerators over ``den``;
+        zero numerators are dropped, and so is a twist left with no rank,
+        and a factor common to ``den`` and every numerator is divided out.
 
         Trusted: every caller (:meth:`of` after ``_coerce``, ``+``, ``*``,
-        ``dual``, ``jh_factors``, ring products) passes positive int ranks
-        and coerced coefficients, whose nonzero sums and products are valid.
-        The map is kept, not copied, so the caller hands it over.
+        ``dual``, ``jh_factors``, ring products) passes positive int ranks,
+        valid numerators and a positive ``den``.  The map is kept, not
+        copied, unless a factor is divided out, so the caller hands it over.
         """
         rank_maps = groups.values()
         if not all(rank_maps) or not all(map(all, map(dict.values, rank_maps))):
@@ -441,15 +466,22 @@ class _Combination(_Frozen):
                 if (kept := {rank: coeff for rank, coeff in ranks.items() if coeff})
             }
         out = _new(cls)
+        if den != 1:
+            common = math.gcd(den, *chain.from_iterable(map(dict.values, groups.values())))
+            if common != 1:
+                den //= common
+                groups = {t: {rank: n // common for rank, n in ranks.items()} for t, ranks in groups.items()}
+            _set(out, "_den", den)
         _set(out, "_groups", groups)
         return out
 
-    def _scaled(self, c: Coeff):
-        """Every coefficient times c."""
+    def _scaled(self, num: int, den: int = 1):
+        """Every coefficient times num / den, for a positive den."""
         return self._from_groups(
-            {twist: {rank: coeff * c for rank, coeff in ranks.items()} for twist, ranks in self._groups.items()}
-            if c
-            else {}
+            {twist: {rank: n * num for rank, n in ranks.items()} for twist, ranks in self._groups.items()}
+            if num
+            else {},
+            self._den * den,
         )
 
     @property
@@ -458,18 +490,22 @@ class _Combination(_Frozen):
 
     @classmethod
     def _sum(cls, values: Iterable):
-        """The sum of values of this class, merged map by map.  Each rank map
-        is copied when its twist first appears, so no operand's is written."""
+        """The sum of values of this class, merged map by map over the lcm
+        of their denominators.  Each rank map is copied when its twist first
+        appears, so no operand's is written."""
+        values = list(values)
+        den = math.lcm(*(value._den for value in values))
         out: Groups = {}
         for value in values:
+            scale = den // value._den
             for twist, ranks in value._groups.items():
                 mine = out.get(twist)
                 if mine is None:
-                    out[twist] = dict(ranks)
+                    out[twist] = {rank: n * scale for rank, n in ranks.items()} if scale != 1 else dict(ranks)
                 else:
-                    for rank, coeff in ranks.items():
-                        mine[rank] = mine.get(rank, 0) + coeff
-        return cls._from_groups(out)
+                    for rank, n in ranks.items():
+                        mine[rank] = mine.get(rank, 0) + n * scale
+        return cls._from_groups(out, den)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

@@ -17,7 +17,8 @@ Atoms: E[r] is the rank-r Atiyah bundle, L[p/q,p'/q'] a torsion line bundle
 class, and T<name> a named free (non-torsion) generator of Pic^0.
 
 All numbers are exact integers or fractions.  `parse` returns the syntax
-tree as plain tuples; `parse_object` evaluates it to a canonical
+tree as plain tuples, one node for all parenthesised groups of the same
+source text; `parse_object` evaluates it, each node once, to a canonical
 BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
 == x` for every normal form.
 """
@@ -26,8 +27,8 @@ BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
 #   ("E", rank)  ("L", t1, t2)  ("T", name)  ("Z",)      atoms; 'O' is ("E", 1)
 #   ("~", arg)   ("^", arg, power)   ("n*", count, arg)
 #   ("*", arg, arg, ...)  ("+", arg, arg, ...)           one node per chain
-# A parenthesised chain stays a nested node.  Ranks, counts and powers are
-# ints, t1 and t2 Fractions, and name a str.
+# A parenthesised chain stays a nested node, shared by equal groups.  Ranks,
+# counts and powers are ints, t1 and t2 Fractions, and name a str.
 
 from __future__ import annotations
 
@@ -128,8 +129,15 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        # One node per parenthesised group, keyed by its source text with
+        # each group inside it replaced by the id of that group's node, so
+        # the keys hold each character once however deep the nesting.
+        self.groups: dict[tuple, tuple] = {}
+        self.pieces: list = []  # the key of the innermost open group so far
+        self.start = 0  # where the unread part of that group's text starts
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -192,9 +200,16 @@ class _Parser:
             count = self.integer()
             self.take("'*'")
             return ("n*", count, self.factor())
-        if self.accept("'('"):
+        opened = self.accept("'('")
+        if opened:
+            outer, self.pieces, self.start = (self.pieces, self.start), [], opened.offset + 1
             node = self.expr()
-            self.take("')'")
+            end = self.take("')'").offset
+            self.pieces.append(self.text[self.start : end])
+            node = self.groups.setdefault(tuple(self.pieces), node)
+            self.pieces, self.start = outer
+            self.pieces += (self.text[self.start : opened.offset], id(node))
+            self.start = end + 1
         else:
             node = self.atom()
         if self.accept("'^'"):
@@ -245,16 +260,24 @@ def digit_limit_message() -> str:
 def evaluate(node: tuple) -> BundleObject:
     """Evaluate a syntax tree to a bundle object in normal form.
 
-    Recursion is as deep as the input's nesting: a chain is one node, a sum
-    merges its arguments' twist-grouped maps at once, and a tensor chain is
-    folded from the left.  No node builds the sorted summands; they are
-    built only if the caller reads them.  A power of a single rank-1 class,
-    one twist with one rank-1 entry in the map, is computed in closed
-    form, a power n >= 1 of the zero object is zero, and any other power is
-    a chain of products, since squaring general objects was measured to be
-    slower.  A closed-form c^n with more digits than Python converts to
-    text is refused before it is computed.
+    Recursion is as deep as the input's nesting, one frame per level: a
+    chain is one node, a sum merges its arguments' twist-grouped maps at
+    once, and a tensor chain is folded from the left.  Each node above the
+    atoms is evaluated once per call, so a group the parser shares, such as
+    each factor of ``(X)*(X)*(X)``, costs one evaluation.  No node builds
+    the sorted summands; they are built only if the caller reads them.  A
+    power of a single rank-1 class, one twist with one rank-1 entry in the
+    map, is computed in closed form, a power n >= 1 of the zero object is
+    zero, and any other power is a chain of products, since squaring
+    general objects was measured to be slower.  A closed-form c^n with more
+    digits than Python converts to text is refused before it is computed.
     """
+    return _evaluate(node, {})
+
+
+def _evaluate(node: tuple, memo: dict) -> BundleObject:
+    """`evaluate`, with ``memo`` mapping the id of each node of the tree
+    evaluated so far to its value; the tree keeps every id alive."""
     head = node[0]
     if head == "E":
         return atiyah(node[1])
@@ -264,28 +287,36 @@ def evaluate(node: tuple) -> BundleObject:
         return atiyah(1, line_class(free={node[1]: 1}))
     if head == "Z":
         return ZERO
+    value = memo.get(id(node))
+    if value is not None:
+        return value
     if head == "~":
-        return evaluate(node[1]).dual()
-    if head == "^":
-        base, power = evaluate(node[1]), node[2]
-        if base.is_zero:
-            return base if power else UNIT
-        (twist, ranks), *others = base._groups.items()
-        if not others and ranks.keys() == {1}:  # (c*L)^n = c^n * L^n
-            count = ranks[1]
-            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
-            # c >= 2^(b-1), b its bit length, so c^n has over (b-1) * n * log10(2) digits.
-            if limit and (count.bit_length() - 1) * power > 4 * limit:
-                raise ValueError(digit_limit_message())
-            return count ** power * atiyah(1, twist ** power)
-        return reduce(operator.mul, repeat(base, power - 1), base) if power else UNIT
-    if head == "n*":
-        return node[1] * evaluate(node[2])
-    if head == "*":
-        return reduce(operator.mul, map(evaluate, node[1:]))
-    if head == "+":
-        return BundleObject._sum(map(evaluate, node[1:]))
-    raise TypeError(f"not an expression node: {node!r}")
+        value = _evaluate(node[1], memo).dual()
+    elif head == "^":
+        value = _power(_evaluate(node[1], memo), node[2])
+    elif head == "n*":
+        value = node[1] * _evaluate(node[2], memo)
+    elif head == "*" or head == "+":
+        args = map(_evaluate, node[1:], repeat(memo))
+        value = reduce(operator.mul, args) if head == "*" else BundleObject._sum(args)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    memo[id(node)] = value
+    return value
+
+
+def _power(base: BundleObject, power: int) -> BundleObject:
+    if base.is_zero:
+        return base if power else UNIT
+    (twist, ranks), *others = base._groups.items()
+    if not others and ranks.keys() == {1}:  # (c*L)^n = c^n * L^n
+        count = ranks[1]
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, before 3.10.7
+        # c >= 2^(b-1), b its bit length, so c^n has over (b-1) * n * log10(2) digits.
+        if limit and (count.bit_length() - 1) * power > 4 * limit:
+            raise ValueError(digit_limit_message())
+        return count ** power * atiyah(1, twist ** power)
+    return reduce(operator.mul, repeat(base, power - 1), base) if power else UNIT
 
 
 def parse_object(text: str) -> BundleObject:

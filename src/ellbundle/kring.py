@@ -3,12 +3,14 @@
 Ring elements are finite rational linear combinations of indecomposables;
 addition models direct sum, multiplication the tensor product.  They share
 the normal form of :class:`~ellbundle.bundles.BundleObject` through one
-base class: a twist-grouped map ``{twist: {rank: coefficient}}`` with
-nonzero fractions where objects have positive multiplicities, whose sorted
-``terms`` are built only when read.  A ring product runs the twist-grouped
-kernel of :mod:`ellbundle.bundles` on the maps' integer numerators over one
-common denominator, and stores the kernel's output over that denominator,
-with the coefficients that cancel dropped.
+base class: a twist-grouped map ``{twist: {rank: numerator}}`` of nonzero
+ints over one positive denominator that shares no factor with every
+numerator; an object is the case of denominator 1.  The sorted ``terms``,
+one ``Fraction`` per class, are built only when read.  A ring product hands
+both stored maps to the twist-grouped kernel of :mod:`ellbundle.bundles`
+and keeps its output over the product of the denominators, with the
+coefficients that cancel dropped and one gcd pass for the common factor;
+a sum brings its operands to the lcm of their denominators.
 The module also enumerates summand closures S(E) (all indecomposable
 summands of all tensor powers of an object) on per-twist rank bitmasks, one
 step of the support kernel per power, multiplying each twist pair once per
@@ -47,7 +49,10 @@ __all__ = [
 class RingElement(_Combination, fields=("terms",)):
     """A finite rational combination of indecomposable bundle classes."""
 
-    terms = cached_property(_Combination._sorted)
+    @cached_property
+    def terms(self) -> tuple:
+        den = self._den
+        return tuple((ind, Fraction(n, den)) for ind, n in self._sorted())
 
     _valid = staticmethod(lambda coeff: type(coeff) is Fraction and coeff != 0)
 
@@ -57,9 +62,22 @@ class RingElement(_Combination, fields=("terms",)):
             raise TypeError(f"ring coefficients must be int or Fraction, not {type(coeff).__name__}")
         return Fraction(coeff)
 
+    @staticmethod
+    def _integral(groups: Groups) -> tuple[Groups, int]:
+        """Fractions as numerators over the lcm of their denominators, which
+        shares no factor with every numerator."""
+        den = math.lcm(*(coeff.denominator for ranks in groups.values() for coeff in ranks.values()))
+        return {
+            twist: {rank: coeff.numerator * (den // coeff.denominator) for rank, coeff in ranks.items()}
+            for twist, ranks in groups.items()
+        }, den
+
     @classmethod
     def from_object(cls, obj: BundleObject) -> "RingElement":
-        return cls.of(obj.summands)
+        """The object's class in the ring; it shares the object's rank maps."""
+        if not isinstance(obj, BundleObject):
+            raise TypeError(f"expected a BundleObject, not {type(obj).__name__}")
+        return cls._from_groups(obj._groups)
 
     def __neg__(self) -> "RingElement":
         return self._scaled(-1)
@@ -70,19 +88,11 @@ class RingElement(_Combination, fields=("terms",)):
         return self + (-other)
 
     def __mul__(self, other) -> "RingElement":
-        if type(other) in (int, Fraction):
-            return self._scaled(Fraction(other))
+        if type(other) is int or type(other) is Fraction:
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, RingElement):
             return NotImplemented
-        xs, dx = _numerators(self._groups)
-        ys, dy = _numerators(other._groups)
-        den = dx * dy
-        return RingElement._from_groups(
-            {
-                twist: {k: Fraction(n, den) for k, n in ranks.items()}
-                for twist, ranks in _grouped_product(xs, ys).items()
-            }
-        )
+        return RingElement._from_groups(_grouped_product(self._groups, other._groups), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -90,16 +100,6 @@ class RingElement(_Combination, fields=("terms",)):
         if not self.terms:
             return "0"
         return " + ".join(f"{coeff}*[{ind}]" for ind, coeff in self.terms)
-
-
-def _numerators(groups: Groups) -> tuple[Groups, int]:
-    """A twist-grouped map as integer numerators over one denominator, the
-    lcm of the coefficients' denominators."""
-    den = math.lcm(*(coeff.denominator for ranks in groups.values() for coeff in ranks.values()))
-    return {
-        twist: {rank: coeff.numerator * (den // coeff.denominator) for rank, coeff in ranks.items()}
-        for twist, ranks in groups.items()
-    }, den
 
 
 RING_ZERO = RingElement()

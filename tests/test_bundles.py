@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellbundle import (
+    RING_ONE,
     RING_ZERO,
     TRIVIAL,
     UNIT,
@@ -194,6 +196,16 @@ class TestKernelPaths:
                 assert bundles._limbs(left, right) == limbs
                 assert chosen == ["_packed_product" if n >= first else "_loop_product"]
                 assert each_path(left, right) == [expected, expected]
+
+    @given(line_classes(), line_classes(), st.integers(1, 60), st.integers(1, 60),
+           st.integers(-(2**70), 2**70).filter(bool), st.integers(-(2**70), 2**70).filter(bool))
+    def test_one_rank_pair_is_the_rule_without_the_table(self, s, t, r, q, a, b):
+        # Signed numerators, as ring products pass them.  One entry a side
+        # skips the cost rule and the twist table.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bundles, "_twist_table", None)
+            product = _grouped_product({s: {r: a}}, {t: {q: b}})
+        assert product == {s * t: {k: a * b for k in tensor_rank_indices(r, q)}}
 
     @pytest.mark.parametrize(
         "left, right, paths",
@@ -451,11 +463,16 @@ def test_ring_elements_are_equal_iff_their_terms_are(x, y, obj):
         [x + y, RingElement.of(x.terms + y.terms), -(-y - x)],
         [x * Fraction(2), x + x, Fraction(2) * x],
         [RingElement.from_object(obj), RingElement.of(obj.summands)],
+        # Numerators that share a factor with the denominator: 1/2 + 1/2 is 1.
+        [x, Fraction(1, 2) * x + Fraction(1, 2) * x, x * (2 * RING_ONE) * (Fraction(1, 2) * RING_ONE),
+         (3 * x - x) * Fraction(1, 2), x * Fraction(2, 3) * Fraction(3, 2)],
     ]
     for same in routes:
         assert all(v == same[0] and hash(v) == hash(same[0]) for v in same)
     values = [v for same in routes for v in same]
     for v in values:
+        numerators = [n for ranks in v._groups.values() for n in ranks.values()]
+        assert v._den > 0 and math.gcd(v._den, *numerators) == 1 and all(numerators)
         for w in values:
             assert (v == w) == (v.terms == w.terms)
 
@@ -465,12 +482,15 @@ def test_no_operation_writes_into_a_stored_map(a, b, x, y):
     # Values share rank maps: dual reuses its operand's, a product keeps the
     # kernel's.  Copies rebuilt from the sorted pairs before any operation
     # must still equal every operand and result afterwards.
-    dual, product, ring = a.dual(), a * b, x * y
-    values = [a, b, x, y, dual, product, ring]
+    # from_object shares its object's rank maps.
+    dual, product, ring, shared = a.dual(), a * b, x * y, RingElement.from_object(a)
+    values = [a, b, x, y, dual, product, ring, shared]
     copies = [type(v)(v.summands if isinstance(v, BundleObject) else v.terms) for v in values]
     a * b, a + b, a + a, dual + dual, dual * a, product + product, product * dual, 2 * dual
     hom_dim(a, b), hom_dim(dual, product), summand_closure(a, 3), summand_closure(dual, 2)
     x * y, x + y, x - x, ring + ring, ring - ring, -ring, RingElement.from_object(dual) * x
+    shared + shared, shared + x, x + shared, shared - x, -shared, shared * x, shared * shared
+    2 * shared, shared * Fraction(1, 3), shared * Fraction(2, 1) + x * Fraction(1, 2)
     a.jh_factors(), a.rank(), a.det(), a.gamma_dim(), a.classes()
     assert values == copies
 

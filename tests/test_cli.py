@@ -331,6 +331,16 @@ class TestLongInput:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[2]\n", "")
 
+    def test_900_duals(self):
+        # The evaluator takes one frame per nesting level, as the parser
+        # does for '~'; a second frame per level would pass the recursion
+        # limit here.  A fresh process, so the test runner's frames do not count.
+        done = subprocess.run(
+            [sys.executable, "-m", "ellbundle", "rank", "~" * 900 + "E[2]"],
+            capture_output=True, env=child_env(), text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
+
 
 class TestFileInput:
     def test_expressions_from_file(self, capsys, tmp_path):

@@ -1,8 +1,14 @@
+import json
+import operator
 import sys
 from fractions import Fraction
+from functools import reduce
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
+
+import ellbundle.expr as expr
 
 from ellbundle import (
     UNIT,
@@ -21,6 +27,38 @@ from ellbundle import (
 from _strategies import bundle_objects
 
 L13 = line_class(Fraction(1, 3))
+
+CORPUS = Path(__file__).resolve().parent / "cli_corpus.json"
+
+
+def expression_texts():
+    """Small expression texts with sums, products, duals, counts and groups."""
+    atoms = st.sampled_from(["E[1]", "E[2]", "E[3]", "O", "Z", "Ta", "~Tb", "L[1/3,0]", "L[1/2,1/4]^2"])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(" + ".join),
+            st.lists(inner, min_size=2, max_size=2).map("*".join),
+            inner.map("({})".format),
+            inner.map("~({})".format),
+            inner.map("2*({})".format),
+        ),
+        max_leaves=5,
+    )
+
+
+class _Unshared(dict):
+    """A group table that never matches, so each group keeps its own node."""
+
+    def setdefault(self, key, node):
+        return node
+
+
+def unshared_parse(text):
+    """The tree of ``parse`` with no node shared between equal groups."""
+    parser = expr._Parser(text)
+    parser.groups = _Unshared()
+    return parser.parse()
 
 
 class TestParseTrees:
@@ -58,6 +96,25 @@ class TestParseTrees:
         assert parse("((E[2]))") == ("E", 2)
         assert parse("O") == ("E", 1)
         assert parse("Z") == ("Z",)
+
+    def test_equal_groups_share_one_node(self):
+        tree = parse("(E[2] + Ta)*(E[2] + Ta)*(E[2]+Ta)*((E[2] + Ta))")
+        assert tree[1] is tree[2] is tree[4] and tree[3] is not tree[1]
+        assert tree == ("*",) + (("+", ("E", 2), ("T", "a")),) * 4
+        tree = parse("((E[2]+O)*Ta + O)*((E[2]+O)*Ta + O) + (E[2]+O)")
+        assert tree[1][1] is tree[1][2] and tree[1][1][1][1] is tree[2]
+
+    def test_the_tree_is_the_unshared_tree_on_every_corpus_text(self):
+        def tree_or_error(read, text):
+            try:
+                return read(text)
+            except ParseError as error:
+                return type(error), str(error)
+
+        texts = {arg for record in json.loads(CORPUS.read_text()) for arg in record["argv"][1:]}
+        trees = {text: tree_or_error(unshared_parse, text) for text in texts}
+        assert all(type(trees[text][0]) is str for text in texts if "(" in text)  # the groups parse
+        assert {text: tree_or_error(parse, text) for text in texts} == trees
 
     def test_unknown_head_is_refused(self):
         with pytest.raises(TypeError):
@@ -175,6 +232,34 @@ class TestEvaluation:
         assert parse_object("E[2]^3") == cube and len(calls) == 2
         assert parse_object(f"{base}^0") == UNIT
         assert parse_object(f"{base}^1") == x and len(calls) == 2
+
+    def test_a_repeated_group_is_evaluated_once(self, monkeypatch):
+        calls = []
+        line = expr.line_class
+        monkeypatch.setattr(expr, "line_class", lambda *a, **k: calls.append(a) or line(*a, **k))
+        group = "(E[2]*L[1/3,0] + Ta)"
+        cube = parse_object(f"{group}*{group}*{group}")
+        assert len(calls) == 2
+        assert cube == parse_object(f"{group}^3")
+
+    def test_a_repeated_power_is_evaluated_once(self, monkeypatch):
+        # E[2]^40 is a chain of 39 products; the shared group adds one more.
+        import ellbundle.bundles
+
+        calls = []
+        kernel = ellbundle.bundles._grouped_product
+        monkeypatch.setattr(ellbundle.bundles, "_grouped_product", lambda l, r: calls.append(1) or kernel(l, r))
+        square = parse_object("(E[2]^40)*(E[2]^40)")
+        assert len(calls) == 40
+        assert square == parse_object("E[2]^80")
+
+    @settings(max_examples=60, deadline=None)
+    @given(expression_texts(), st.integers(1, 4))
+    def test_repeated_factors_are_the_power_and_the_product(self, text, power):
+        group = f"({text})"
+        factors = [parse_object(text) for _ in range(power)]
+        chain = parse_object("*".join([group] * power))
+        assert chain == parse_object(f"{group}^{power}") == reduce(operator.mul, factors)
 
     def test_power_of_one_rank_one_class_matches_the_product_chain(self):
         for base in ["O", "L[1/6,1/4]", "(3*L[-1/3,0])", "(2*Ta*L[1/2,0])", "~Tg"]:

@@ -46,6 +46,27 @@ def signed_ring_elements():
     return st.one_of(st.just(RING_ZERO), st.lists(pairs, max_size=3).map(RingElement.of))
 
 
+def as_dict(x) -> dict:
+    """A ring element as ``{(rank, twist): Fraction}``."""
+    return {(ind.rank, ind.twist): coeff for ind, coeff in x.terms}
+
+
+def reference_sum(f: dict, g: dict, sign: int = 1) -> dict:
+    out = dict(f)
+    for key, coeff in g.items():
+        out[key] = out.get(key, 0) + sign * coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def reference_product(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for (r, s), a in f.items():
+        for (q, t), b in g.items():
+            for k in tensor_rank_indices(r, q):
+                out[k, s * t] = out.get((k, s * t), 0) + a * b
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
 def basis(r, twist=TRIVIAL):
     return RingElement.of({Indecomposable(r, twist): 1})
 
@@ -114,6 +135,24 @@ class TestRingOperations:
         product = a * b
         assert product.terms == tuple(terms)
         assert all(type(c) is Fraction for _, c in product.terms)
+
+    @given(signed_ring_elements(), signed_ring_elements(), st.integers(-3, 3),
+           st.fractions(-3, 3, max_denominator=6))
+    def test_operations_agree_with_a_reference_on_fraction_dicts(self, x, y, n, c):
+        f, g = as_dict(x), as_dict(y)
+        scaled = {key: coeff * c for key, coeff in f.items() if c}
+        results = {
+            "+": (x + y, reference_sum(f, g)),
+            "-": (x - y, reference_sum(f, g, -1)),
+            "*": (x * y, reference_product(f, g)),
+            "n*": (n * x, {key: coeff * n for key, coeff in f.items() if n}),
+            "*n": (x * n, {key: coeff * n for key, coeff in f.items() if n}),
+            "Fraction*": (c * x, scaled),
+            "*Fraction": (x * c, scaled),
+        }
+        for op, (value, want) in results.items():
+            assert as_dict(value) == want, op
+            assert all(type(coeff) is Fraction for _, coeff in value.terms), op
 
     @given(signed_ring_elements(), signed_ring_elements(), bundle_objects(max_rank=3))
     def test_normal_forms_pass_the_public_constructor(self, a, b, obj):
