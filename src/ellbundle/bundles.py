@@ -455,15 +455,16 @@ class _Combination(_Frozen):
 
         Trusted: every caller (:meth:`of` after ``_coerce``, ``+``, ``*``,
         ``dual``, ``jh_factors``, ring products) passes positive int ranks,
-        valid numerators and a positive ``den``.  The map is kept, not
-        copied, unless a factor is divided out, so the caller hands it over.
+        valid numerators and a positive ``den``.  The map and its rank maps
+        are kept, not copied, unless a factor is divided out; a zero rebuilds
+        only the rank map that holds it.  So the caller hands the map over.
         """
         rank_maps = groups.values()
         if not all(rank_maps) or not all(map(all, map(dict.values, rank_maps))):
             groups = {
                 twist: kept
                 for twist, ranks in groups.items()
-                if (kept := {rank: coeff for rank, coeff in ranks.items() if coeff})
+                if (kept := ranks if all(ranks.values()) else {r: c for r, c in ranks.items() if c})
             }
         out = _new(cls)
         if den != 1:

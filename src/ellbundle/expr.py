@@ -17,8 +17,8 @@ Atoms: E[r] is the rank-r Atiyah bundle, L[p/q,p'/q'] a torsion line bundle
 class, and T<name> a named free (non-torsion) generator of Pic^0.
 
 All numbers are exact integers or fractions.  `parse` returns the syntax
-tree as plain tuples, one node for all parenthesised groups of the same
-source text; `parse_object` evaluates it, each node once, to a canonical
+tree as plain tuples, one node for all equal subtrees however they are
+spelled; `parse_object` evaluates it, each node once, to a canonical
 BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
 == x` for every normal form.
 """
@@ -27,8 +27,8 @@ BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
 #   ("E", rank)  ("L", t1, t2)  ("T", name)  ("Z",)      atoms; 'O' is ("E", 1)
 #   ("~", arg)   ("^", arg, power)   ("n*", count, arg)
 #   ("*", arg, arg, ...)  ("+", arg, arg, ...)           one node per chain
-# A parenthesised chain stays a nested node, shared by equal groups.  Ranks,
-# counts and powers are ints, t1 and t2 Fractions, and name a str.
+# A parenthesised chain stays a nested node.  Equal subtrees are one node.
+# Ranks, counts and powers are ints, t1 and t2 Fractions, and name a str.
 
 from __future__ import annotations
 
@@ -129,15 +129,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        # One node per parenthesised group, keyed by its source text with
-        # each group inside it replaced by the id of that group's node, so
-        # the keys hold each character once however deep the nesting.
-        self.groups: dict[tuple, tuple] = {}
-        self.pieces: list = []  # the key of the innermost open group so far
-        self.start = 0  # where the unread part of that group's text starts
+        # One node per distinct subtree, keyed by its fields with each child
+        # replaced by its id: a key is as short as its node.  The table keeps
+        # every child alive, so no id in a key is reused.
+        self.nodes: dict[tuple, tuple] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -185,35 +182,32 @@ class _Parser:
         args = [self.term()]
         while self.accept("'+'"):
             args.append(self.term())
-        return ("+", *args) if len(args) > 1 else args[0]
+        return self.nodes.setdefault(("+", *map(id, args)), ("+", *args)) if len(args) > 1 else args[0]
 
     def term(self) -> tuple:
         args = [self.factor()]
         while self.accept("'*'"):
             args.append(self.factor())
-        return ("*", *args) if len(args) > 1 else args[0]
+        return self.nodes.setdefault(("*", *map(id, args)), ("*", *args)) if len(args) > 1 else args[0]
 
     def factor(self) -> tuple:
         if self.accept("'~'"):
-            return ("~", self.factor())
+            arg = self.factor()
+            return self.nodes.setdefault(("~", id(arg)), ("~", arg))
         if self.peek().kind == "INT":
             count = self.integer()
             self.take("'*'")
-            return ("n*", count, self.factor())
-        opened = self.accept("'('")
-        if opened:
-            outer, self.pieces, self.start = (self.pieces, self.start), [], opened.offset + 1
+            arg = self.factor()
+            return self.nodes.setdefault(("n*", count, id(arg)), ("n*", count, arg))
+        if self.accept("'('"):
             node = self.expr()
-            end = self.take("')'").offset
-            self.pieces.append(self.text[self.start : end])
-            node = self.groups.setdefault(tuple(self.pieces), node)
-            self.pieces, self.start = outer
-            self.pieces += (self.text[self.start : opened.offset], id(node))
-            self.start = end + 1
+            self.take("')'")
         else:
-            node = self.atom()
+            atom = self.atom()
+            node = self.nodes.setdefault(atom, atom)
         if self.accept("'^'"):
-            return ("^", node, self.integer())
+            power = self.integer()
+            return self.nodes.setdefault(("^", id(node), power), ("^", node, power))
         return node
 
     def atom(self) -> tuple:
@@ -263,14 +257,15 @@ def evaluate(node: tuple) -> BundleObject:
     Recursion is as deep as the input's nesting, one frame per level: a
     chain is one node, a sum merges its arguments' twist-grouped maps at
     once, and a tensor chain is folded from the left.  Each node above the
-    atoms is evaluated once per call, so a group the parser shares, such as
-    each factor of ``(X)*(X)*(X)``, costs one evaluation.  No node builds
-    the sorted summands; they are built only if the caller reads them.  A
-    power of a single rank-1 class, one twist with one rank-1 entry in the
-    map, is computed in closed form, a power n >= 1 of the zero object is
-    zero, and any other power is a chain of products, since squaring
-    general objects was measured to be slower.  A closed-form c^n with more
-    digits than Python converts to text is refused before it is computed.
+    atoms is evaluated once per call, so a subtree the parser shares, such
+    as each factor of ``(X)*(X)*(X)`` or ``E[2]^40*E[2]^40``, costs one
+    evaluation.  No node builds the sorted summands; they are built only if
+    the caller reads them.  A power of a single rank-1 class, one twist with
+    one rank-1 entry in the map, is computed in closed form, a power n >= 1
+    of the zero object is zero, and any other power is a chain of products,
+    since squaring general objects was measured to be slower.  A closed-form
+    c^n with more digits than Python converts to text is refused before it
+    is computed.
     """
     return _evaluate(node, {})
 

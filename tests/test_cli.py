@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,32 @@ class TestLongInput:
         assert (done.returncode, done.stderr) == (0, "")
         assert lines[:-1] == [f"E[{k}]" for k in range(1, 8002)]
         assert lines[-1] == "stabilized: false"
+
+    @pytest.mark.parametrize(
+        "text, max_power",
+        [
+            ("E[2]", "9" * 4000),
+            ("Ta+Tb+E[2]", "200"),
+            ("E[200000]", "2"),
+            ("+".join(f"Ta{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(676)), "1"),
+        ],
+        ids=["e2-endless", "free-twists", "one-large-rank", "wide-generator"],
+    )
+    def test_runaway_summand_closure_is_refused(self, text, max_power):
+        # The closure stops before a step on more than 2^16 bits of rank
+        # masks, or past 2^18 row entries and shifts in all: the first step
+        # of 676 free twists alone makes 676 * 676 entries.  One line on
+        # stderr names the limits, and the exit code is 3.
+        done = subprocess.run(
+            [sys.executable, "-m", "ellbundle", "summands", text, "--max-power", max_power],
+            capture_output=True, env=child_env(), text=True, timeout=10,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        error = (
+            r"error: summand closure too large \(\d+ bits of rank masks, limit 65536;"
+            r" \d+ row entries and shifts, limit 262144\)\n"
+        )
+        assert re.fullmatch(error, done.stderr)
 
     def test_329_nested_parentheses(self):
         # The deepest nesting the parser takes from a top-level script, run in

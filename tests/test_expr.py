@@ -48,16 +48,16 @@ def expression_texts():
 
 
 class _Unshared(dict):
-    """A group table that never matches, so each group keeps its own node."""
+    """A node table that never matches, so each subtree keeps its own node."""
 
     def setdefault(self, key, node):
         return node
 
 
 def unshared_parse(text):
-    """The tree of ``parse`` with no node shared between equal groups."""
+    """The tree of ``parse`` with no node shared between equal subtrees."""
     parser = expr._Parser(text)
-    parser.groups = _Unshared()
+    parser.nodes = _Unshared()
     return parser.parse()
 
 
@@ -99,10 +99,12 @@ class TestParseTrees:
 
     def test_equal_groups_share_one_node(self):
         tree = parse("(E[2] + Ta)*(E[2] + Ta)*(E[2]+Ta)*((E[2] + Ta))")
-        assert tree[1] is tree[2] is tree[4] and tree[3] is not tree[1]
+        assert tree[1] is tree[2] is tree[3] is tree[4]
         assert tree == ("*",) + (("+", ("E", 2), ("T", "a")),) * 4
         tree = parse("((E[2]+O)*Ta + O)*((E[2]+O)*Ta + O) + (E[2]+O)")
         assert tree[1][1] is tree[1][2] and tree[1][1][1][1] is tree[2]
+        tree = parse("O + E[1] + E[2]^40*E[2]^40")
+        assert tree[1] is tree[2] and tree[3][1] is tree[3][2]
 
     def test_the_tree_is_the_unshared_tree_on_every_corpus_text(self):
         def tree_or_error(read, text):
@@ -241,17 +243,23 @@ class TestEvaluation:
         cube = parse_object(f"{group}*{group}*{group}")
         assert len(calls) == 2
         assert cube == parse_object(f"{group}^3")
+        calls.clear()
+        cube = parse_object("(E[2] + Ta)*(E[2]+Ta)*((E[2] + Ta))")
+        assert len(calls) == 1
+        assert cube == parse_object("(E[2] + Ta)^3")
 
     def test_a_repeated_power_is_evaluated_once(self, monkeypatch):
-        # E[2]^40 is a chain of 39 products; the shared group adds one more.
+        # E[2]^40 is a chain of 39 products; the shared power adds one more.
         import ellbundle.bundles
 
         calls = []
         kernel = ellbundle.bundles._grouped_product
         monkeypatch.setattr(ellbundle.bundles, "_grouped_product", lambda l, r: calls.append(1) or kernel(l, r))
-        square = parse_object("(E[2]^40)*(E[2]^40)")
-        assert len(calls) == 40
-        assert square == parse_object("E[2]^80")
+        for text in ["(E[2]^40)*(E[2]^40)", "E[2]^40*E[2]^40"]:
+            calls.clear()
+            square = parse_object(text)
+            assert len(calls) == 40, text
+            assert square == parse_object("E[2]^80"), text
 
     @settings(max_examples=60, deadline=None)
     @given(expression_texts(), st.integers(1, 4))

@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -169,6 +170,17 @@ class TestRingOperations:
         assert (RING_ONE - line) * (RING_ONE + line) == RING_ZERO
         assert (basis(2) - line) * (basis(2) + line) == basis(3)
 
+    def test_a_cancelled_twist_leaves_the_other_rank_maps_as_the_kernel_built_them(self, monkeypatch):
+        built = []
+        kernel = kring._grouped_product
+        monkeypatch.setattr(kring, "_grouped_product", lambda l, r: built.append(kernel(l, r)) or built[-1])
+        # (E1 + E1*L)(E2 - E2*L) = E2 - E2*L^2: the twist L cancels, the others do not.
+        product = (basis(1) + basis(1, L13)) * (basis(2) - basis(2, L13))
+        (out,) = built
+        assert out[L13] == {2: 0} and L13 not in product._groups
+        assert product._groups[TRIVIAL] is out[TRIVIAL] and product._groups[L13 * L13] is out[L13 * L13]
+        assert product == basis(2) - basis(2, L13 * L13)
+
     @given(ring_elements())
     def test_unit_and_zero(self, a):
         assert RING_ONE * a == a
@@ -218,6 +230,31 @@ class TestSummandClosure:
         closure = summand_closure(atiyah(1, L12), 4)
         assert closure.classes == frozenset({Indecomposable(1), Indecomposable(1, L12)})
         assert closure.stabilized
+
+    def test_a_closure_past_the_mask_limit_is_refused(self):
+        # The rank mask of E[r] alone has bit length r + 1.
+        limit = kring.CLOSURE_MASK_BITS
+        assert summand_closure(atiyah(limit - 1), 1).classes == {Indecomposable(limit - 1)}
+        with pytest.raises(ValueError) as info:
+            summand_closure(atiyah(limit), 1)
+        work = kring.CLOSURE_WORK
+        assert str(info.value) == (
+            f"summand closure too large ({limit + 1} bits of rank masks, limit {limit};"
+            f" {limit + 1} row entries and shifts, limit {work})"
+        )
+
+    def test_a_closure_past_the_work_limit_is_refused(self):
+        # E[1] + ... + E[k] is one twist whose ranks sum to k(k+1)/2, so its
+        # first step makes one row entry and k(k+1)/2 shifts.
+        limit = kring.CLOSURE_WORK
+        k = (math.isqrt(8 * limit - 7) - 1) // 2
+        assert 1 + k * (k + 1) // 2 <= limit < 1 + (k + 1) * (k + 2) // 2
+        wide = parse_object("+".join(f"E[{r}]" for r in range(1, k + 1)))
+        assert summand_closure(wide, 1).classes == {Indecomposable(r) for r in range(1, k + 1)}
+        wider = wide + atiyah(k + 1)
+        with pytest.raises(ValueError) as info:
+            summand_closure(wider, 1)
+        assert str(info.value).endswith(f" {1 + (k + 1) * (k + 2) // 2} row entries and shifts, limit {limit})")
 
     def test_e2_prefix_grows_with_cutoff(self):
         closure = summand_closure(atiyah(2), 6)
