@@ -204,7 +204,10 @@ class _Parser:
             self.take("')'")
         else:
             atom = self.atom()
-            node = self.nodes.setdefault(atom, atom)
+            # An L atom is keyed by the ints of its two fractions, which hash
+            # in C; Fraction.__hash__ runs in Python.
+            key = atom if atom[0] != "L" else ("L", *atom[1].as_integer_ratio(), *atom[2].as_integer_ratio())
+            node = self.nodes.setdefault(key, atom)
         if self.accept("'^'"):
             power = self.integer()
             return self.nodes.setdefault(("^", id(node), power), ("^", node, power))

@@ -105,6 +105,9 @@ class TestParseTrees:
         assert tree[1][1] is tree[1][2] and tree[1][1][1][1] is tree[2]
         tree = parse("O + E[1] + E[2]^40*E[2]^40")
         assert tree[1] is tree[2] and tree[3][1] is tree[3][2]
+        tree = parse("L[2/4,0] + L[1/2,0/3] + L[1/2,-0]^2 + L[0,1/2]")
+        assert tree[1] is tree[2] is tree[3][1] and tree[4] is not tree[1]
+        assert tree[1] == ("L", Fraction(1, 2), Fraction(0)) and tree[4] == ("L", Fraction(0), Fraction(1, 2))
 
     def test_the_tree_is_the_unshared_tree_on_every_corpus_text(self):
         def tree_or_error(read, text):

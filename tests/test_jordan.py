@@ -1,9 +1,11 @@
 import inspect
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, strategies as st
+
+import ellbundle.jordan
 
 from ellbundle import (
     ModulusMismatchError,
@@ -82,6 +84,29 @@ def rank_profile(t):
 def dense_rank_profile(r, s):
     """Jordan type of J_r (x) J_s from ranks of powers of the dense Kronecker T."""
     return rank_profile(dense_nilpotent(r, s))
+
+
+def stepwise_jordan_type(r, s):
+    """Jordan type of N_r (x) 1 + 1 (x) N_s by the per-degree images, every
+    degree lowered at every step and the vector of pivot d+1 always reduced."""
+    r, s = min(r, s), max(r, s)
+    image = [
+        {j: [0] * j + [1] for j in range(max(0, d - s + 1), min(r, d + 1))}
+        for d in range(r + s - 1)
+    ]
+    ranks = [r * s]
+    while ranks[-1]:
+        image, upper = [], image
+        for d, basis in enumerate(upper[1:]):
+            lowered = {p: list(map(add, x, x[1:] + [0])) for p, x in basis.items()}
+            vec = lowered.pop(d + 1, None)
+            if vec is not None:
+                ellbundle.jordan._reduce(lowered, vec[:-1])
+            image.append(lowered)
+        ranks.append(sum(map(len, image)))
+    ranks.append(0)
+    parts = [k for k in range(1, len(ranks) - 1) for _ in range(ranks[k - 1] - 2 * ranks[k] + ranks[k + 1])]
+    return tuple(sorted(parts, reverse=True))
 
 
 def entries(bound):
@@ -240,6 +265,31 @@ class TestJordanTensor:
         for r in range(1, 8):
             for s in range(1, 8):
                 assert jordan_tensor(r, s) == dense_rank_profile(r, s), (r, s)
+
+    def test_matches_the_stepwise_images(self):
+        # Full degrees are neither reduced nor lowered twice; the answer is
+        # that of lowering every degree and reducing every popped vector.
+        for r in range(1, 21):
+            for s in range(r, 21):
+                expected = stepwise_jordan_type(r, s)
+                for args in [(r, s), (s, r)]:
+                    jordan_tensor.cache_clear()
+                    assert jordan_tensor(*args) == expected, args
+
+    @pytest.mark.parametrize("r, s, calls", [(12, 12, 66), (8, 200, 28)])
+    def test_full_degrees_are_not_reduced(self, monkeypatch, r, s, calls):
+        # Reducing the popped vector in every degree, full or not, makes 187
+        # and 1,421 calls.
+        reduce, count = ellbundle.jordan._reduce, []
+
+        def counting(basis, vec):
+            count.append(1)
+            reduce(basis, vec)
+
+        monkeypatch.setattr(ellbundle.jordan, "_reduce", counting)
+        jordan_tensor.cache_clear()
+        jordan_tensor(r, s)
+        assert len(count) == calls
 
 
 class TestProductObject:
