@@ -21,9 +21,7 @@ One kernel, ``_grouped_product``, computes every object and ring product.
 It multiplies twist-grouped maps ``{twist: {rank: coefficient}}``, so each
 pair of distinct twists is multiplied once, and its output map is the
 product's stored form: no indecomposable is built and nothing is sorted
-until the summands are read.  A product of one rank pair, such as an atom
-product ``E[3]*L[1/4,0]``, goes straight to the loop below, with no cost
-rule and no twist table.  Otherwise the ranks combine along one of two paths,
+until the summands are read.  The ranks combine along one of two paths,
 picked per product by a cost rule from sizes known before any rank is
 touched.  The triple loop adds each piece E_k on its own.  The packed path
 multiplies SL2 characters packed into integers (the Brauer-Klimyk rule over
@@ -212,11 +210,6 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
     per twist) times the limbs per field.  Both paths return the same
     coefficients, but only the loop keeps coefficients that cancel, as zeros.
     """
-    if len(left) == 1 == len(right):
-        ((s, rs),), ((t, qs),) = left.items(), right.items()
-        if len(rs) == 1 == len(qs):  # one rank pair: the loop, which the rule would pick
-            ranks: dict[int, Coeff] = {}
-            return _loop_product(left, right, ([[ranks]], {s * t: ranks}))
     table = _twist_table(left, right)
     rs = list(chain.from_iterable(left.values()))
     qs = list(chain.from_iterable(right.values()))

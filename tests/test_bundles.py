@@ -199,12 +199,9 @@ class TestKernelPaths:
 
     @given(line_classes(), line_classes(), st.integers(1, 60), st.integers(1, 60),
            st.integers(-(2**70), 2**70).filter(bool), st.integers(-(2**70), 2**70).filter(bool))
-    def test_one_rank_pair_is_the_rule_without_the_table(self, s, t, r, q, a, b):
-        # Signed numerators, as ring products pass them.  One entry a side
-        # skips the cost rule and the twist table.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bundles, "_twist_table", None)
-            product = _grouped_product({s: {r: a}}, {t: {q: b}})
+    def test_one_rank_pair_is_the_rule(self, s, t, r, q, a, b):
+        # Signed numerators, as ring products pass them.
+        product = _grouped_product({s: {r: a}}, {t: {q: b}})
         assert product == {s * t: {k: a * b for k in tensor_rank_indices(r, q)}}
 
     @pytest.mark.parametrize(

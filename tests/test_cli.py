@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,19 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from ellbundle import cli
 from ellbundle.cli import _VERBS, _build_parser, main
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+from _runners import child_env, run_caught, run_child
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env() -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    return env
 
 
 class TestVerbs:
@@ -277,10 +270,7 @@ class TestLongInput:
 
     def test_huge_power_of_a_line_bundle_class(self):
         # (c*L)^n is one class, computed without a chain of n products.
-        done = subprocess.run(
-            [sys.executable, "-m", "ellbundle", "normalize", "O^10000000"],
-            capture_output=True, env=child_env(), text=True, timeout=10,
-        )
+        done = run_child("-m", "ellbundle", "normalize", "O^10000000", timeout=10)
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[1]\n", "")
 
     @pytest.mark.parametrize(
@@ -290,10 +280,7 @@ class TestLongInput:
     )
     def test_huge_power_of_the_zero_object(self, verb, text, answer):
         # Z^n is Z for n >= 1, answered without a chain of n empty products.
-        done = subprocess.run(
-            [sys.executable, "-m", "ellbundle", verb, text],
-            capture_output=True, env=child_env(), text=True, timeout=5,
-        )
+        done = run_child("-m", "ellbundle", verb, text, timeout=5)
         assert (done.returncode, done.stdout, done.stderr) == (0, answer, "")
 
     @pytest.mark.skipif(
@@ -302,10 +289,7 @@ class TestLongInput:
     def test_unprintable_power_of_a_line_bundle_class_is_refused_at_once(self):
         # classify never prints the multiplicity 2^(10^11), so only the
         # evaluator's bound stops it from computing that number.
-        done = subprocess.run(
-            [sys.executable, "-m", "ellbundle", "classify", "(2*O)^100000000000"],
-            capture_output=True, env=child_env(), text=True, timeout=10,
-        )
+        done = run_child("-m", "ellbundle", "classify", "(2*O)^100000000000", timeout=10)
         limit = sys.get_int_max_str_digits()
         error = f"error: result has more than {limit} digits (int-to-text limit {limit})\n"
         assert (done.returncode, done.stdout, done.stderr) == (3, "", error)
@@ -313,10 +297,7 @@ class TestLongInput:
     def test_long_summand_closure_of_e2(self):
         # One closure step is a few shifts of a rank bitmask, so 8000 powers
         # of E[2] (ranks 1..8001) finish well within the timeout.
-        done = subprocess.run(
-            [sys.executable, "-m", "ellbundle", "summands", "E[2]", "--max-power", "8000"],
-            capture_output=True, env=child_env(), text=True, timeout=10,
-        )
+        done = run_child("-m", "ellbundle", "summands", "E[2]", "--max-power", "8000", timeout=10)
         lines = done.stdout.splitlines()
         assert (done.returncode, done.stderr) == (0, "")
         assert lines[:-1] == [f"E[{k}]" for k in range(1, 8002)]
@@ -337,10 +318,7 @@ class TestLongInput:
         # masks, or past 2^18 row entries and shifts in all: the first step
         # of 676 free twists alone makes 676 * 676 entries.  One line on
         # stderr names the limits, and the exit code is 3.
-        done = subprocess.run(
-            [sys.executable, "-m", "ellbundle", "summands", text, "--max-power", max_power],
-            capture_output=True, env=child_env(), text=True, timeout=10,
-        )
+        done = run_child("-m", "ellbundle", "summands", text, "--max-power", max_power, timeout=10)
         assert (done.returncode, done.stdout) == (3, "")
         error = (
             r"error: summand closure too large \(\d+ bits of rank masks, limit 65536;"
@@ -353,19 +331,14 @@ class TestLongInput:
         # a fresh process so the test runner's own frames do not count.
         script = "import sys; from ellbundle import parse_object; print(parse_object(sys.argv[1]))"
         text = "(" * 329 + "E[2]*O + Z" + ")" * 329
-        done = subprocess.run(
-            [sys.executable, "-c", script, text], capture_output=True, env=child_env(), text=True
-        )
+        done = run_child("-c", script, text)
         assert (done.returncode, done.stdout, done.stderr) == (0, "E[2]\n", "")
 
     def test_900_duals(self):
         # The evaluator takes one frame per nesting level, as the parser
         # does for '~'; a second frame per level would pass the recursion
         # limit here.  A fresh process, so the test runner's frames do not count.
-        done = subprocess.run(
-            [sys.executable, "-m", "ellbundle", "rank", "~" * 900 + "E[2]"],
-            capture_output=True, env=child_env(), text=True, timeout=10,
-        )
+        done = run_child("-m", "ellbundle", "rank", "~" * 900 + "E[2]", timeout=10)
         assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
 
 
@@ -403,10 +376,7 @@ class TestOutputFailure:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device(self):
         with open("/dev/full", "w") as full:
-            done = subprocess.run(
-                [sys.executable, "-m", "ellbundle", "rank", "E[2]"],
-                stdout=full, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=10,
-            )
+            done = run_child("-m", "ellbundle", "rank", "E[2]", stdout=full, timeout=10)
         error = "error: cannot write output: [Errno 28] No space left on device\n"
         assert (done.returncode, done.stderr) == (3, error)
 
@@ -415,10 +385,7 @@ class TestOutputFailure:
     def test_help_that_cannot_be_written(self, argv):
         # argparse's own write of the help drops its OSError.
         with open("/dev/full", "w") as full:
-            done = subprocess.run(
-                [sys.executable, "-m", "ellbundle", *argv],
-                stdout=full, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=10,
-            )
+            done = run_child("-m", "ellbundle", *argv, stdout=full, timeout=10)
         error = "error: cannot write output: [Errno 28] No space left on device\n"
         assert (done.returncode, done.stderr) == (3, error)
 
@@ -430,23 +397,11 @@ class TestOutputFailure:
     )
     def test_error_line_that_cannot_be_written_keeps_its_code(self, text, full_stdout, code):
         with open("/dev/full", "w") as full:
-            done = subprocess.run(
-                [sys.executable, "-m", "ellbundle", "rank", text],
-                stdout=full if full_stdout else subprocess.PIPE, stderr=full,
-                env=child_env(), text=True, timeout=10,
+            done = run_child(
+                "-m", "ellbundle", "rank", text,
+                stdout=full if full_stdout else subprocess.PIPE, stderr=full, timeout=10,
             )
         assert (done.returncode, done.stdout) == (code, None if full_stdout else "")
-
-
-def run_caught(argv) -> tuple:
-    """(exit code, stdout, stderr) of main, with argparse's SystemExit caught."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 USAGE = "usage: ellbundle [-h] VERB ...\n"
@@ -507,6 +462,7 @@ options:
     "equals": (["summands", "E[2]", "--max-power=3"], (0, SUMMANDS_E2_3, "")),
     "double-dash": (["rank", "--", "E[2]"], (0, "2\n", "")),
 }
+ARGPARSE_OWNED["long-help"] = (["--help"], ARGPARSE_OWNED["help"][1])
 
 
 class TestArgparseOwned:

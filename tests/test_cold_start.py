@@ -1,33 +1,35 @@
-"""A cold ``python -m ellbundle`` process imports only what its verb needs.
+"""A cold ``python -m ellbundle`` process imports only what its verb needs,
+and answers whole queries as it should.
 
-Each case runs in a fresh interpreter under ``-X importtime``, whose stderr
-names every module the process imports.  A bare ``python -c pass`` gives
-the baseline that interpreter start-up loads anyway.  That baseline includes
-what the ``.pth`` files of site-packages import, which can be ``typing``, so
-the probes for ``typing`` run under ``-S``, without the site module.
-argparse, with the ``gettext`` and ``locale`` it pulls in, is loaded only for
-help and for argv the CLI's fast path leaves to it.
+The import probes run a fresh interpreter under ``-X importtime``, whose
+stderr names every module the process imports.  A bare ``python -c pass``
+gives the baseline that interpreter start-up loads anyway.  That baseline
+includes what the ``.pth`` files of site-packages import, which can be
+``typing``, so the probes for ``typing`` run under ``-S``, without the site
+module.  argparse, with the ``gettext`` and ``locale`` it pulls in, is loaded
+only for help and for argv the CLI's fast path leaves to it.
+
+``COLD_QUERIES`` at the bottom is one table of whole queries, each with its
+exit code, a check on its stdout and one time limit: a new query that must
+keep holding end to end is one more row there.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
+import time
 
 import pytest
 
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+from ellbundle.jordan import jordan_tensor
+
+from _runners import run_caught, run_child
+
 # Modules a `rank` query has no use for.
 HEAVY = {"ellbundle.kring", "ellbundle.jordan", "json", "dataclasses", "string"}
 
 
 def run_full(*args: str) -> tuple[int, str, str, set[str]]:
     """Exit code, stdout, stderr and imported modules of a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], capture_output=True, env=env, text=True
-    )
+    done = run_child("-X", "importtime", *args)
     modules = {
         line.rsplit("|", 1)[1].strip()
         for line in done.stderr.splitlines()
@@ -153,3 +155,80 @@ def test_the_package_loads_a_layer_on_first_lookup():
         0,
         "[]\n['ellbundle.bundles', 'ellbundle.expr', 'ellbundle.picard']\n",
     )
+
+
+BIG = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)"
+# Seconds any one query may take, in either runner.
+TIME_LIMIT = 20
+
+
+def oracle_agrees(out: str) -> bool:
+    return out.startswith("ok: mod 1:")
+
+
+# id: (fresh process?, argv, exit code, check on stdout).  A row runs in a
+# fresh process when a cold start is its point: the imports its verb makes,
+# the value types it builds, or an answer that must not lean on what earlier
+# queries left behind.  The rest run main in this process, after clearing
+# the oracle's cache.
+COLD_QUERIES = {
+    # The closure workload's reference query: 1,680 classes, one a line.
+    "closure-reference": (
+        False, ["summands", "E[3]*L[1/6,0] + E[2]*L[0,1/5]", "--max-power", "32"], 0,
+        lambda out: len(lines := out.splitlines()) == 1681 and lines[-1] == "stabilized: false",
+    ),
+    # A free twist: the closure gains a twist row at every power.  E[5]^n
+    # has the odd ranks 1 .. 4n+1 for n >= 2, so 1 + (5 + 7 + ... + 49) classes.
+    "free-twist-closure": (
+        True, ["summands", "E[5]*Ta", "--max-power", "24", "--json"], 0,
+        lambda out: len((rec := json.loads(out))["classes"]) == 622 and rec["stabilized"] is False,
+    ),
+    "closedform": (
+        True, ["closedform", "E[2]*L[1/4,0]", "--json"], 0,
+        lambda out: (rec := json.loads(out))["kind"] == "CYCLIC_RANK_PARITY" and rec["order"] == 4,
+    ),
+    # BundleObject products and sums; the product has rank 6^3 * 3.
+    "tensor": (
+        True, ["tensor", f"{BIG}^3", "E[2]*L[1/3,0] + Tg", "--json"], 0,
+        lambda out: sum(c["rank"] * c["multiplicity"] for c in json.loads(out)["summands"]) == 648,
+    ),
+    # One twist by two routes, a bare torsion class and one whose free part
+    # cancels: the two keys of the object's map must merge.
+    "twist-merge": (
+        True, ["normalize", "E[2]*L[1/2,0] + E[2]*L[1/2,0]*Ta*~Ta"], 0,
+        lambda out: out == "2*E[2]*L[1/2,0]\n",
+    ),
+    # The kernel's paths (tests/test_bundles.py::TestKernelPaths pins the
+    # routes): the loop at every step of the chain, then the packed path with
+    # one-limb and with two-limb fields.  6^12 and C(80, 40).
+    "loop-chain": (False, ["rank", f"{BIG}^12"], 0, lambda out: out == "2176782336\n"),
+    "one-limb-packed": (False, ["rank", f"{BIG}^6*{BIG}^6"], 0, lambda out: out == "2176782336\n"),
+    "two-limb-packed": (
+        False, ["gamma", "E[2]^40*E[2]^40"], 0, lambda out: out == "107507208733336176461620\n",
+    ),
+    # Equal subtrees are one node, evaluated once: the answer of BIG^3.
+    "shared-factors": (
+        False, ["normalize", f"{BIG}*{BIG}*{BIG}"], 0,
+        lambda out: out == run_caught(["normalize", f"{BIG}^3"])[1],
+    ),
+    # The oracle's per-degree images on blocks larger than the acceptance
+    # suite's; a long, thin pair whose sizes it swaps; and mixed parities,
+    # swapped too, with both full degrees and degrees it still reduces.
+    "oracle-40x40": (True, ["oracle-check", "E[40]", "E[40]", "--modulus", "1"], 0, oracle_agrees),
+    "oracle-200x8": (True, ["oracle-check", "E[200]", "E[8]", "--modulus", "1"], 0, oracle_agrees),
+    "oracle-61x60": (True, ["oracle-check", "E[61]", "E[60]", "--modulus", "1"], 0, oracle_agrees),
+}
+
+
+@pytest.mark.parametrize("fresh, argv, code, check", COLD_QUERIES.values(), ids=list(COLD_QUERIES))
+def test_cold_query(fresh, argv, code, check):
+    start = time.perf_counter()
+    if fresh:
+        done = run_child("-m", "ellbundle", *argv, timeout=TIME_LIMIT)
+        answer = done.returncode, done.stdout, done.stderr
+    else:
+        jordan_tensor.cache_clear()
+        answer = run_caught(argv)
+    assert time.perf_counter() - start < TIME_LIMIT
+    assert (answer[0], answer[2]) == (code, "")
+    assert check(answer[1])
