@@ -53,6 +53,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter, sub
 
+from ._budget import draw
 from .picard import TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -73,9 +74,9 @@ def tensor_rank_indices(r: int, s: int) -> tuple[int, ...]:
     return tuple(range(abs(r - s) + 1, r + s, 2))
 
 
-# Bound once for Indecomposable._trusted, which closures and sorted views
-# call for every class they build, and for _Combination._from_groups.
-_new, _set = object.__new__, object.__setattr__
+# Bound once for Indecomposable._trusted, which closures and sorted views call
+# for every class they build, for _Combination._from_groups and for the kernel's draw.
+_new, _set, _free = object.__new__, object.__setattr__, attrgetter("free")
 
 
 class _Frozen:
@@ -210,16 +211,18 @@ def _grouped_product(left: Groups, right: Groups) -> Groups:
     per twist) times the limbs per field.  Both paths return the same
     coefficients, but only the loop keeps coefficients that cancel, as zeros.
     """
+    free = sum(map(len, map(_free, left))) * len(right) + sum(map(len, map(_free, right))) * len(left)
+    draw(400 * (pairs := len(left) * len(right)) + 120 * free)  # 1.2 us a twist pair, 0.35 us a free generator
     table = _twist_table(left, right)
     rs = list(chain.from_iterable(left.values()))
     qs = list(chain.from_iterable(right.values()))
-    if rs and qs:
-        cost = _PACKED_COST * (len(table[1]) + 1) * (max(rs) + 2 * max(qs) - 1)
-        bound = min(len(rs) * sum(qs), len(qs) * sum(rs))
-        # The limbs walk every coefficient, so they are counted only when
-        # the bound alone passes the packed cost.
-        if bound > cost and bound > cost * (limbs := _limbs(left, right)):
-            return _packed_product(left, right, table, limbs)
+    top, q, limbs = max(rs, default=1), max(qs, default=1), _limbs(left, right)  # 1: an empty side loops
+    fields = (len(table[1]) + 1) * (top + 2 * q - 1)
+    bound = min(len(rs) * sum(qs), len(qs) * sum(rs))
+    if bound > _PACKED_COST * fields * limbs:  # units: a schoolbook product per twist pair, then the fields
+        draw(pairs * (600 + top * q * limbs * limbs // 3) + 100 * fields * limbs)
+        return _packed_product(left, right, table, limbs)
+    draw((128 + limbs) * len(rs) * len(qs) + (20 + limbs) * bound)  # rank pair 0.4 us, piece 60 ns; 3 ns a limb
     return _loop_product(left, right, table)
 
 
@@ -612,6 +615,8 @@ def hom_dim(a: BundleObject, b: BundleObject) -> int:
     of the internal Hom.
     """
     right = b._groups
+    pairs = sum(len(ranks) * len(right.get(twist, ())) for twist, ranks in a._groups.items())
+    draw(pairs * (150 + _limbs(a._groups, right) ** 2 // 3))  # 0.45 us a pair of short multiplicities
     return sum(
         mx * my * min(r, s)
         for twist, left_ranks in a._groups.items()

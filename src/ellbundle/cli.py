@@ -9,9 +9,10 @@ Exit codes: 0 success, 1 failed oracle check and nothing else, 2 bad usage
 or expression syntax/validation error, 3 domain error (zero object where a
 generator is needed, twist outside the oracle's cyclic subgroup, and the
 like), an expression nested deeper than the recursion limit, a result with
-more digits than Python converts to text, a summand closure past its size
-limit, or an answer that cannot be written (a closed pipe, a full device).
-An error line that cannot be written keeps its own code.
+more digits than Python converts to text, a query past its one work budget
+(a product, power, summand closure or oracle call too large to finish, see
+``_budget``), or an answer that cannot be written (a closed pipe, a full
+device).  An error line that cannot be written keeps its own code.
 
 argparse defines the grammar, the help and every usage error, but a process
 builds its parser only for help and for an argv that ``_fast_args`` does not
@@ -26,6 +27,7 @@ from collections.abc import Sequence
 from io import TextIOBase
 from types import SimpleNamespace
 
+from ._budget import metered
 from .bundles import BundleObject, Indecomposable, hom_dim
 from .expr import ParseError, digit_limit_message, parse_object, print_canonical
 from .picard import LineBundleClass
@@ -259,6 +261,7 @@ _VERBS = {
 }
 
 
+@metered
 def _answer(args: SimpleNamespace) -> tuple[int, str, TextIOBase]:
     """Run a query: (exit code, text, the stream it goes to)."""
     try:

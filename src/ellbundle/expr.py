@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 
+from ._budget import draw, metered
 from .bundles import UNIT, ZERO, BundleObject, atiyah
 from .picard import line_class
 
@@ -251,6 +252,7 @@ def digit_limit_message() -> str:
     return f"result has more than {limit} digits (int-to-text limit {limit})"
 
 
+@metered
 def evaluate(node: tuple) -> BundleObject:
     """Evaluate a syntax tree to a bundle object in normal form.
 
@@ -310,6 +312,7 @@ def _power(base: BundleObject, power: int) -> BundleObject:
         # c >= 2^(b-1), b its bit length, so c^n has over (b-1) * n * log10(2) digits.
         if limit and (count.bit_length() - 1) * power > 4 * limit:
             raise ValueError(digit_limit_message())
+        draw(2 * ((count - 1).bit_length() * power // 64 + 1) ** 2)  # c^n < 2^(n*bits(c-1)): words squared
         return count ** power * atiyah(1, twist ** power)
     return reduce(operator.mul, repeat(base, power - 1), base) if power else UNIT
 

@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
+from ._budget import draw, metered
 from .bundles import BundleObject, _Frozen
 
 __all__ = [
@@ -107,6 +108,7 @@ def exact_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
 
 
 @lru_cache(maxsize=None, typed=True)
+@metered
 def jordan_tensor(r: int, s: int) -> tuple[int, ...]:
     """Jordan type of the product of unipotent blocks of sizes r and s.
 
@@ -133,6 +135,7 @@ def jordan_tensor(r: int, s: int) -> tuple[int, ...]:
     if r > s:
         # The swap e_(j,l) -> e_(l,j) conjugates N to N_s (x) 1 + 1 (x) N_r.
         return jordan_tensor(s, r)
+    draw(2 * (r + s) ** 2 * (r * r + 10))  # steps times degrees times each degree's r x r basis
     n = r * s
     # image[d] is an echelon basis of im(N^k) in degree d, keyed by pivot p: a
     # dense list x of length p+1 stands for the sum of x[j] e_(j,d-j).  N maps

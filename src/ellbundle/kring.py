@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 
+from ._budget import draw, metered
 from .bundles import (BundleObject, Groups, Indecomposable, Rows, _Combination, _Frozen,
                       _grouped_product, _grouped_support, _mask_ranks)
 from .picard import INFINITE, TRIVIAL, LineBundleClass
@@ -123,13 +124,7 @@ class SummandClosure(_Frozen, fields=("classes", "stabilized")):
         super().__init__(classes, stabilized)
 
 
-# The most a closure may hold before each step of the support kernel, the
-# total bit length of its rank masks (at least its number of classes), and
-# the most its steps may do in all, counted as row entries and mask shifts.
-CLOSURE_MASK_BITS = 1 << 16
-CLOSURE_WORK = 1 << 18
-
-
+@metered
 def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     """Enumerate summands of obj^(x)n for 1 <= n <= max_power.
 
@@ -145,11 +140,8 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     when S_(n+1) is a subset of seen.  Enumeration stops at the first power
     that adds no class, found in the same pass that adds S_(n+1) to seen,
     and after the cutoff ``stabilized`` reports whether S_(max_power+1)
-    adds none.  A step is refused with ValueError when the masks seen so
-    far total more than ``CLOSURE_MASK_BITS`` bits, or when the steps up to
-    it would make more than ``CLOSURE_WORK`` row entries and shifts: at most
-    one entry per pair of a step twist and a generator twist, and q shifts
-    per rank q of that generator twist.
+    adds none.  Each step first draws its row entries and its shifts,
+    weighted by the length of its output, from the query's work budget.
     """
     if type(max_power) is not int:
         raise TypeError(f"max_power must be an int, not {type(max_power).__name__}")
@@ -159,31 +151,19 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     seen = dict(gens)
     rows: Rows = {}
     step = gens
-    bits = sum(map(int.bit_length, seen.values()))
-    cost = sum(1 + sum(ranks) for ranks in obj._groups.values())  # per step twist
-    work = 0
+    # Per step twist: a row entry per generator twist (7 us for a new row's twist
+    # product), and q shifts per rank q, 50 ns + 3 ns per 64 bits of output.
+    shifts, top = sum(map(sum, obj._groups.values())), max(map(max, obj._groups.values()), default=0)
     for power in range(1, max_power + 1):
-        work += len(step) * cost
-        if bits > CLOSURE_MASK_BITS or work > CLOSURE_WORK:
-            raise ValueError(
-                f"summand closure too large ({bits} bits of rank masks, limit {CLOSURE_MASK_BITS};"
-                f" {work} row entries and shifts, limit {CLOSURE_WORK})"
-            )
+        draw(len(step) * (2400 * len(gens) + shifts * (16 + (power + 1) * top // 64)))
         step = _grouped_support(step, gens, rows)  # S_(power+1)
-        if power == max_power:
+        grown = {twist: seen.get(twist, 0) | mask for twist, mask in step.items() if mask & ~seen.get(twist, 0)}
+        if power == max_power or not grown:
             break
-        grown = False
-        for twist, mask in step.items():
-            old = seen.get(twist, 0)
-            if mask & ~old:
-                seen[twist] = new = old | mask
-                bits += new.bit_length() - old.bit_length()
-                grown = True
-        if not grown:
-            break
+        seen.update(grown)
     trusted = Indecomposable._trusted
     classes = frozenset(trusted(rank, twist) for twist, mask in seen.items() for rank in _mask_ranks(mask))
-    return SummandClosure(classes, all(not mask & ~seen.get(twist, 0) for twist, mask in step.items()))
+    return SummandClosure(classes, not grown)
 
 
 # -- closed forms ----------------------------------------------------------

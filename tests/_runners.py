@@ -12,9 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ellbundle._budget import BUDGET
 from ellbundle.cli import main
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+# The one line on stderr of a query refused for its work.
+BUDGET_REFUSAL = rf"error: query too large for its work budget \(\d+ units asked, \d+ of {BUDGET} left\)\n"
 
 
 def child_env() -> dict:

@@ -5,14 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ellbundle import cli
 from ellbundle.cli import _VERBS, _build_parser, main
+from ellbundle.jordan import jordan_tensor
 
-from _runners import child_env, run_caught, run_child
+from _runners import BUDGET_REFUSAL, child_env, run_caught, run_child
+from _strategies import bundle_objects
 
 
 def run(capsys, *argv):
@@ -294,6 +297,15 @@ class TestLongInput:
         error = f"error: result has more than {limit} digits (int-to-text limit {limit})\n"
         assert (done.returncode, done.stdout, done.stderr) == (3, "", error)
 
+    def test_power_of_a_line_bundle_class_is_refused_at_once_with_no_int_to_text_limit(self):
+        # With no digit limit to refuse 2^(10^11), its draw on the work
+        # budget does: the words of c^n, squared, are far past the budget.
+        done = run_child(
+            "-X", "int_max_str_digits=0", "-m", "ellbundle", "classify", "(2*O)^100000000000", timeout=2
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert re.fullmatch(BUDGET_REFUSAL, done.stderr)
+
     def test_long_summand_closure_of_e2(self):
         # One closure step is a few shifts of a rank bitmask, so 8000 powers
         # of E[2] (ranks 1..8001) finish well within the timeout.
@@ -314,17 +326,13 @@ class TestLongInput:
         ids=["e2-endless", "free-twists", "one-large-rank", "wide-generator"],
     )
     def test_runaway_summand_closure_is_refused(self, text, max_power):
-        # The closure stops before a step on more than 2^16 bits of rank
-        # masks, or past 2^18 row entries and shifts in all: the first step
-        # of 676 free twists alone makes 676 * 676 entries.  One line on
-        # stderr names the limits, and the exit code is 3.
+        # The closure stops before a step it has no budget left for: the
+        # first step of E[200000] shifts a 200,001-bit mask 200,000 times,
+        # and that of 676 free twists makes 676 * 676 row entries.  One line
+        # on stderr names the budget, and the exit code is 3.
         done = run_child("-m", "ellbundle", "summands", text, "--max-power", max_power, timeout=10)
         assert (done.returncode, done.stdout) == (3, "")
-        error = (
-            r"error: summand closure too large \(\d+ bits of rank masks, limit 65536;"
-            r" \d+ row entries and shifts, limit 262144\)\n"
-        )
-        assert re.fullmatch(error, done.stderr)
+        assert re.fullmatch(BUDGET_REFUSAL, done.stderr)
 
     def test_329_nested_parentheses(self):
         # The deepest nesting the parser takes from a top-level script, run in
@@ -340,6 +348,48 @@ class TestLongInput:
         # limit here.  A fresh process, so the test runner's frames do not count.
         done = run_child("-m", "ellbundle", "rank", "~" * 900 + "E[2]", timeout=10)
         assert (done.returncode, done.stdout, done.stderr) == (0, "2\n", "")
+
+
+def expression_texts():
+    """Bounded expression text: printed objects joined by the grammar's
+    operators, and at times cut short, which makes it a syntax error."""
+    atoms = st.one_of(bundle_objects(max_summands=2).map(lambda obj: f"({obj})"), st.sampled_from(["O", "Z", "Ta"]))
+    texts = st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " * "]), inner).map("".join),
+            inner.map(lambda text: f"~({text})"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda pair: f"({pair[0]})^{pair[1]}"),
+            st.tuples(st.integers(0, 3), inner).map(lambda pair: f"{pair[0]}*({pair[1]})"),
+        ),
+        max_leaves=5,
+    )
+    return st.one_of(texts, st.tuples(texts, st.integers(0, 160)).map(lambda pair: pair[0][: pair[1]]))
+
+
+@st.composite
+def queries(draw):
+    verb = draw(st.sampled_from(list(_VERBS)))
+    arity, _, _, *option = _VERBS[verb]
+    argv = [verb, *draw(st.lists(expression_texts(), min_size=arity, max_size=arity))]
+    for name, *_ in option:
+        argv += [name, str(draw(st.integers(1, 6)))]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+def test_no_input_hangs_or_leaks_a_traceback():
+    start = time.perf_counter()
+
+    @settings(max_examples=100, deadline=None)
+    @given(queries())
+    def answer(argv):
+        jordan_tensor.cache_clear()
+        code, _, err = run_caught(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+
+    answer()
+    assert time.perf_counter() - start < 10
 
 
 class TestFileInput:

@@ -10,18 +10,19 @@ module.  argparse, with the ``gettext`` and ``locale`` it pulls in, is loaded
 only for help and for argv the CLI's fast path leaves to it.
 
 ``COLD_QUERIES`` at the bottom is one table of whole queries, each with its
-exit code, a check on its stdout and one time limit: a new query that must
-keep holding end to end is one more row there.
+exit code, a check on its stdout (on its stderr for a refusal) and one time
+limit: a new query that must keep holding end to end is one more row there.
 """
 
 import json
+import re
 import time
 
 import pytest
 
 from ellbundle.jordan import jordan_tensor
 
-from _runners import run_caught, run_child
+from _runners import BUDGET_REFUSAL, run_caught, run_child
 
 # Modules a `rank` query has no use for.
 HEAVY = {"ellbundle.kring", "ellbundle.jordan", "json", "dataclasses", "string"}
@@ -151,9 +152,10 @@ def test_the_package_loads_a_layer_on_first_lookup():
         "print(layers()); ellbundle.parse_object; print(layers())\n"
     )
     code, out, _ = run("-c", script)
+    # expr and the layers below it, with the work budget they draw from.
     assert (code, out) == (
         0,
-        "[]\n['ellbundle.bundles', 'ellbundle.expr', 'ellbundle.picard']\n",
+        "[]\n['ellbundle._budget', 'ellbundle.bundles', 'ellbundle.expr', 'ellbundle.picard']\n",
     )
 
 
@@ -162,15 +164,22 @@ BIG = "(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)"
 TIME_LIMIT = 20
 
 
+FREE_TWISTS = "+".join(f"T{name}" for name in "abcdefghijkl")
+
+
 def oracle_agrees(out: str) -> bool:
     return out.startswith("ok: mod 1:")
 
 
-# id: (fresh process?, argv, exit code, check on stdout).  A row runs in a
-# fresh process when a cold start is its point: the imports its verb makes,
-# the value types it builds, or an answer that must not lean on what earlier
-# queries left behind.  The rest run main in this process, after clearing
-# the oracle's cache.
+def refused(err: str) -> bool:
+    return re.fullmatch(BUDGET_REFUSAL, err) is not None
+
+
+# id: (fresh process?, argv, exit code, check on stdout, or on stderr for a
+# refusal).  A row runs in a fresh process when a cold start is its point:
+# the imports its verb makes, the value types it builds, or an answer that
+# must not lean on what earlier queries left behind.  The rest run main in
+# this process, after clearing the oracle's cache.
 COLD_QUERIES = {
     # The closure workload's reference query: 1,680 classes, one a line.
     "closure-reference": (
@@ -217,6 +226,24 @@ COLD_QUERIES = {
     "oracle-40x40": (True, ["oracle-check", "E[40]", "E[40]", "--modulus", "1"], 0, oracle_agrees),
     "oracle-200x8": (True, ["oracle-check", "E[200]", "E[8]", "--modulus", "1"], 0, oracle_agrees),
     "oracle-61x60": (True, ["oracle-check", "E[61]", "E[60]", "--modulus", "1"], 0, oracle_agrees),
+    # The work budget refuses what would run for seconds, minutes or more: a
+    # power chain whose packed products outgrow it, one of multiplicities
+    # 2^n times larger at every step, one whose twists multiply twelvefold,
+    # a product of 10^8 summands, an oracle call on 400 x 400 blocks and a
+    # Hom count over 5.7 million summand pairs.
+    "budget-packed-chain": (False, ["rank", "E[300]^300"], 3, refused),
+    "budget-loop-chain": (False, ["classify", "(2*E[2])^20000"], 3, refused),
+    "budget-twist-chain": (False, ["rank", f"({FREE_TWISTS})^12"], 3, refused),
+    "budget-product": (False, ["tensor", "E[100000000]", "E[100000000]"], 3, refused),
+    "budget-oracle": (False, ["oracle-check", "E[400]", "E[400]", "--modulus", "1"], 3, refused),
+    "budget-hom": (False, ["hom", "E[300]^16", "E[300]^16"], 3, refused),
+    # ... and still answers the largest inputs that answered before it.
+    "budget-e2-chain": (False, ["rank", "E[2]^2000"], 0, lambda out: out == f"{2 ** 2000}\n"),
+    "budget-e100-chain": (False, ["rank", "E[100]^60*E[100]"], 0, lambda out: out == f"{100 ** 61}\n"),
+    "budget-long-closure": (
+        False, ["summands", "E[2]", "--max-power", "20000"], 0,
+        lambda out: len(lines := out.splitlines()) == 20002 and lines[-2:] == ["E[20001]", "stabilized: false"],
+    ),
 }
 
 
@@ -230,5 +257,6 @@ def test_cold_query(fresh, argv, code, check):
         jordan_tensor.cache_clear()
         answer = run_caught(argv)
     assert time.perf_counter() - start < TIME_LIMIT
-    assert (answer[0], answer[2]) == (code, "")
-    assert check(answer[1])
+    code_seen, out, err = answer
+    assert (code_seen, err if code == 0 else out) == (code, "")
+    assert check(out if code == 0 else err)

@@ -1,8 +1,13 @@
 import math
 import operator
+import sys
+import threading
 from fractions import Fraction
+from itertools import count
 
 import ellbundle.kring as kring
+from ellbundle import _budget
+from ellbundle._budget import BUDGET
 
 import pytest
 from hypothesis import given, strategies as st
@@ -232,29 +237,65 @@ class TestSummandClosure:
         assert closure.stabilized
 
     def test_a_closure_past_the_mask_limit_is_refused(self):
-        # The rank mask of E[r] alone has bit length r + 1.
-        limit = kring.CLOSURE_MASK_BITS
-        assert summand_closure(atiyah(limit - 1), 1).classes == {Indecomposable(limit - 1)}
+        # E[r] at power 1 takes one step: one row entry and r shifts of its
+        # mask into the 2r bits of E[r] (x) E[r], so the budget fixes the
+        # largest rank mask that answers.
+        def units(r):
+            return 2400 + r * (16 + 2 * r // 64)
+
+        r = next(r for r in count(math.isqrt(32 * BUDGET), -1) if units(r) <= BUDGET)
+        assert summand_closure(atiyah(r), 1).classes == {Indecomposable(r)}
         with pytest.raises(ValueError) as info:
-            summand_closure(atiyah(limit), 1)
-        work = kring.CLOSURE_WORK
+            summand_closure(atiyah(r + 1), 1)
         assert str(info.value) == (
-            f"summand closure too large ({limit + 1} bits of rank masks, limit {limit};"
-            f" {limit + 1} row entries and shifts, limit {work})"
+            f"query too large for its work budget ({units(r + 1)} units asked, {BUDGET} of {BUDGET} left)"
         )
 
     def test_a_closure_past_the_work_limit_is_refused(self):
         # E[1] + ... + E[k] is one twist whose ranks sum to k(k+1)/2, so its
-        # first step makes one row entry and k(k+1)/2 shifts.
-        limit = kring.CLOSURE_WORK
-        k = (math.isqrt(8 * limit - 7) - 1) // 2
-        assert 1 + k * (k + 1) // 2 <= limit < 1 + (k + 1) * (k + 2) // 2
+        # first step makes one row entry and k(k+1)/2 shifts into 2k bits.
+        # The closure draws from what its caller's budget has left.
+        def units(k):
+            return 2400 + k * (k + 1) // 2 * (16 + 2 * k // 64)
+
+        @_budget.metered
+        def closure(obj):  # the closure, with only units(k) of the budget left
+            _budget.draw(BUDGET - units(k))
+            return summand_closure(obj, 1)
+
+        k = 40
         wide = parse_object("+".join(f"E[{r}]" for r in range(1, k + 1)))
-        assert summand_closure(wide, 1).classes == {Indecomposable(r) for r in range(1, k + 1)}
-        wider = wide + atiyah(k + 1)
+        assert closure(wide).classes == {Indecomposable(r) for r in range(1, k + 1)}
         with pytest.raises(ValueError) as info:
-            summand_closure(wider, 1)
-        assert str(info.value).endswith(f" {1 + (k + 1) * (k + 2) // 2} row entries and shifts, limit {limit})")
+            closure(wide + atiyah(k + 1))
+        assert str(info.value) == (
+            f"query too large for its work budget ({units(k + 1)} units asked, {units(k)} of {BUDGET} left)"
+        )
+
+    def test_each_thread_has_a_budget_of_its_own(self):
+        # Each closure draws about r * r / 32 units, over half the budget, so
+        # no two that shared one could both answer.  Three threads, more than
+        # a two-core machine has cores, switching often.
+        r = math.isqrt(18 * BUDGET)
+
+        @_budget.metered
+        def closure():  # records the closure and the units it drew
+            value = summand_closure(atiyah(r), 1)
+            results.append((value, BUDGET - _budget._left[threading.get_ident()]))
+
+        results = []
+        threads = [threading.Thread(target=closure) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [(c.classes, 2 * units > BUDGET) for c, units in results] == [({Indecomposable(r)}, True)] * 3
 
     def test_e2_prefix_grows_with_cutoff(self):
         closure = summand_closure(atiyah(2), 6)
