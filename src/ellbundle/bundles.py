@@ -140,7 +140,7 @@ class Indecomposable(_Frozen, fields=("rank", "twist")):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rank, self.twist) == (other.rank, other.twist)
+        return self.rank == other.rank and self.twist is other.twist
 
     def __hash__(self) -> int:
         return hash((self.rank, self.twist))
@@ -189,10 +189,8 @@ def _twist_table(left: Groups, right: Groups) -> Table:
     first appearance, and ``rows[i][j]`` is the rank map of the i-th left
     twist times the j-th right twist.  A path fills the rank maps in place,
     so a table serves one product.  Handing out the rank maps, not the
-    twists, spares each path a hash of a twist per twist pair or per output
-    twist: building the output keyed by twist again cost 17 us of the 430 us
-    kernel time of a ``tensor`` round's CENTRE product (110 output twists on
-    average, each hashed by a Python-level ``__hash__``)."""
+    twists, spares each path a lookup by twist per twist pair or per output
+    twist."""
     products: Groups = {}
     rows = [[products.setdefault(s * t, {}) for t in right] for s in left]
     return rows, products

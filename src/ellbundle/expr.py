@@ -18,17 +18,18 @@ class, and T<name> a named free (non-torsion) generator of Pic^0.
 
 All numbers are exact integers or fractions.  `parse` returns the syntax
 tree as plain tuples, one node for all equal subtrees however they are
-spelled; `parse_object` evaluates it, each node once, to a canonical
+spelled (an L atom holds its line bundle class, so L[1/2,0] and L[3/2,0]
+are one node); `parse_object` evaluates it, each node once, to a canonical
 BundleObject.  Printing is the inverse: `parse_object(print_canonical(x))
 == x` for every normal form.
 """
 
 # Syntax tree: each node is a tuple headed by the grammar symbol that made it.
-#   ("E", rank)  ("L", t1, t2)  ("T", name)  ("Z",)      atoms; 'O' is ("E", 1)
+#   ("E", rank)  ("L", twist)  ("T", name)  ("Z",)       atoms; 'O' is ("E", 1)
 #   ("~", arg)   ("^", arg, power)   ("n*", count, arg)
 #   ("*", arg, arg, ...)  ("+", arg, arg, ...)           one node per chain
 # A parenthesised chain stays a nested node.  Equal subtrees are one node.
-# Ranks, counts and powers are ints, t1 and t2 Fractions, and name a str.
+# Ranks, counts and powers are ints, twist a LineBundleClass, and name a str.
 
 from __future__ import annotations
 
@@ -223,7 +224,7 @@ class _Parser:
             self.take("','")
             t2 = self.fraction()
             self.take("']'")
-            return ("L", t1, t2)
+            return ("L", line_class(t1, t2))
         token = self.accept("T<name>")
         if token:
             return ("T", token.value)
@@ -279,7 +280,7 @@ def _evaluate(node: tuple, memo: dict) -> BundleObject:
     if head == "E":
         return atiyah(node[1])
     if head == "L":
-        return atiyah(1, line_class(node[1], node[2]))
+        return atiyah(1, node[1])
     if head == "T":
         return atiyah(1, line_class(free={node[1]: 1}))
     if head == "Z":

@@ -140,8 +140,9 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     when S_(n+1) is a subset of seen.  Enumeration stops at the first power
     that adds no class, found in the same pass that adds S_(n+1) to seen,
     and after the cutoff ``stabilized`` reports whether S_(max_power+1)
-    adds none.  Each step first draws its row entries and its shifts,
-    weighted by the length of its output, from the query's work budget.
+    adds none.  Each step first draws its row entries, new or reused, its
+    shifts and its growth check, the last two weighted by the length of its
+    output, from the query's work budget.
     """
     if type(max_power) is not int:
         raise TypeError(f"max_power must be an int, not {type(max_power).__name__}")
@@ -151,11 +152,14 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     seen = dict(gens)
     rows: Rows = {}
     step = gens
-    # Per step twist: a row entry per generator twist (7 us for a new row's twist
-    # product), and q shifts per rank q, 50 ns + 3 ns per 64 bits of output.
-    shifts, top = sum(map(sum, obj._groups.values())), max(map(max, obj._groups.values()), default=0)
+    # Per step twist: a row entry per generator twist, 7 us in a new row (a twist
+    # product), 1.2 us in a reused one; q shifts per rank q and the growth check's
+    # three big-int operations, each 50 ns + 3 ns a word.
+    shifts, top = 3 + sum(map(sum, obj._groups.values())), max(map(max, obj._groups.values()), default=0)
     for power in range(1, max_power + 1):
-        draw(len(step) * (2400 * len(gens) + shifts * (16 + (power + 1) * top // 64)))
+        reused = len(step.keys() & rows.keys())  # step twists whose row an earlier power built
+        entries = (2400 * (len(step) - reused) + 400 * reused) * len(gens)
+        draw(entries + len(step) * shifts * (16 + (power + 1) * top // 64))
         step = _grouped_support(step, gens, rows)  # S_(power+1)
         grown = {twist: seen.get(twist, 0) | mask for twist, mask in step.items() if mask & ~seen.get(twist, 0)}
         if power == max_power or not grown:
@@ -209,7 +213,7 @@ class ClosedForm(_Frozen, fields=("rank", "twist")):
             return False
         k = next(k for k in count() if math.gcd(a + k * b, d) == 1)
         i = (p + k * q) * (d // e) * pow(a + k * b, -1, d) % d
-        if self.twist ** i != ind.twist:
+        if self.twist ** i is not ind.twist:
             return False
         if self.rank == 1:
             return ind.rank == 1

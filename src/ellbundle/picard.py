@@ -4,18 +4,19 @@ Over an algebraically closed field of characteristic 0 the torsion part of
 the degree-0 Picard group of an elliptic curve is (Q/Z)^2.  Classes of
 infinite order are modelled formally as monomials in named free generators,
 with no relations between distinct generators.  A class is therefore a pair
-of fractions in [0, 1) together with a finite exponent map, and structural
-equality is equality in the group.
+of fractions in [0, 1) together with a finite exponent map.
 
 The torsion pair is stored as integers over one denominator: ``(d, a, b)``
 with ``t1 = a/d``, ``t2 = b/d``, ``0 <= a, b < d`` and ``gcd(a, b, d) = 1``,
 so ``d`` is the order of the torsion part.  Products and powers are integer
-arithmetic, and equality, hashing and the sort order of twists all use the
-int tuple ``(d, a, b, free)``; ``t1`` and ``t2`` are still read as
-``Fraction`` values.
+arithmetic, and the sort order of twists is the int tuple ``(d, a, b,
+free)``; ``t1`` and ``t2`` are still read as ``Fraction`` values.
 
-All values are immutable and canonical; operations are pure functions, so
-classes can be shared between threads without synchronisation.
+Classes are interned, one instance per key, so equality is identity and
+dicts hash twists in C.  The table is never cleared: it grows by one entry
+per distinct class a process builds (3,793 on a round of the benchmark's
+``tensor`` workload, seed 1).  Values are immutable and operations pure, so
+classes can be built and shared between threads without synchronisation.
 """
 
 from __future__ import annotations
@@ -54,12 +55,9 @@ class LineBundleClass:
     canonical form; the constructor itself insists on it.
     """
 
-    # _key is (d, a, b, free) as in the module docstring; _hash is its hash.
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key",)  # (d, a, b, free) as in the module docstring
 
-    def __init__(
-        self, t1: Fraction = Fraction(0), t2: Fraction = Fraction(0), free: FreePart = ()
-    ) -> None:
+    def __new__(cls, t1: Fraction = Fraction(0), t2: Fraction = Fraction(0), free: FreePart = ()):
         for t in (t1, t2):
             if not isinstance(t, Fraction) or not 0 <= t < 1:
                 raise ValueError(f"torsion coordinate {t!r} is not reduced into [0, 1)")
@@ -76,8 +74,7 @@ class LineBundleClass:
                 raise ValueError("free exponents must be nonzero integers")
         d = math.lcm(t1.denominator, t2.denominator)
         a, b = t1.numerator * (d // t1.denominator), t2.numerator * (d // t2.denominator)
-        self._key = key = (d, a, b, tuple(free))
-        self._hash = hash(key)
+        return _reduced(d, a, b, free)
 
     @property
     def t1(self) -> Fraction:
@@ -91,22 +88,14 @@ class LineBundleClass:
     def free(self) -> FreePart:
         return self._key[3]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        # Rebuild through the constructor: a stored hash of generator names
-        # is only valid in the process that computed it.
+        # Rebuild through the constructor, so that unpickling, copy.copy and
+        # copy.deepcopy return the one instance the table holds for the key.
         return LineBundleClass, (self.t1, self.t2, self.free)
 
     @property
     def is_trivial(self) -> bool:
-        return self._key == (1, 0, 0, ())
+        return self is TRIVIAL
 
     @property
     def is_torsion(self) -> bool:
@@ -158,15 +147,22 @@ class LineBundleClass:
         return "*".join(parts)
 
 
+_classes: dict[tuple, LineBundleClass] = {}  # key -> its one instance
+
+
 def _reduced(d: int, a: int, b: int, free: FreePart) -> LineBundleClass:
-    """The class (a/d, b/d, free) with 0 <= a, b < d and a canonical free part,
-    built without the constructor's checks; only d, a, b are reduced here."""
+    """The one instance of (a/d, b/d, free), for 0 <= a, b < d and a canonical
+    free part; only d, a, b are reduced here.  No other code makes one, and of
+    threads racing on a new key, all return the one ``setdefault`` kept."""
     g = math.gcd(a, b, d)
     if g != 1:
         d, a, b = d // g, a // g, b // g
-    out = object.__new__(LineBundleClass)
-    out._key = key = (d, a, b, free)
-    out._hash = hash(key)
+    key = (d, a, b, free)
+    out = _classes.get(key)
+    if out is None:
+        out = object.__new__(LineBundleClass)
+        out._key = key
+        out = _classes.setdefault(key, out)
     return out
 
 

@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from ellbundle._budget import BUDGET
 from ellbundle.jordan import jordan_tensor
 
 from _runners import BUDGET_REFUSAL, run_caught, run_child
@@ -237,6 +238,13 @@ COLD_QUERIES = {
     "budget-product": (False, ["tensor", "E[100000000]", "E[100000000]"], 3, refused),
     "budget-oracle": (False, ["oracle-check", "E[400]", "E[400]", "--modulus", "1"], 3, refused),
     "budget-hom": (False, ["hom", "E[300]^16", "E[300]^16"], 3, refused),
+    # A closure step is refused before it runs, here the first: a new row
+    # entry, 200,000 shifts and the growth check on 400,002 bits, with
+    # nothing drawn before it.
+    "budget-closure": (
+        False, ["summands", "E[200000]", "--max-power", "2"], 3,
+        lambda err: refused(err) and err.endswith(f"(1253221198 units asked, {BUDGET} of {BUDGET} left)\n"),
+    ),
     # ... and still answers the largest inputs that answered before it.
     "budget-e2-chain": (False, ["rank", "E[2]^2000"], 0, lambda out: out == f"{2 ** 2000}\n"),
     "budget-e100-chain": (False, ["rank", "E[100]^60*E[100]"], 0, lambda out: out == f"{100 ** 61}\n"),

@@ -13,6 +13,7 @@ import ellbundle.expr as expr
 from ellbundle import (
     UNIT,
     ZERO,
+    BundleObject,
     ExprValidationError,
     Indecomposable,
     ParseError,
@@ -64,11 +65,11 @@ def unshared_parse(text):
 class TestParseTrees:
     def test_sum_of_tensor_and_multiplicity(self):
         tree = parse("E[2]*L[1/3,0] + 2*E[1]")
-        assert tree == ("+", ("*", ("E", 2), ("L", Fraction(1, 3), Fraction(0))), ("n*", 2, ("E", 1)))
+        assert tree == ("+", ("*", ("E", 2), ("L", L13)), ("n*", 2, ("E", 1)))
 
     def test_dual_of_parenthesised_tensor(self):
         tree = parse("~(E[3]*L[1/3,0])")
-        assert tree == ("~", ("*", ("E", 3), ("L", Fraction(1, 3), Fraction(0))))
+        assert tree == ("~", ("*", ("E", 3), ("L", L13)))
 
     def test_power_and_generator(self):
         assert parse("Tg^3") == ("^", ("T", "g"), 3)
@@ -105,9 +106,11 @@ class TestParseTrees:
         assert tree[1][1] is tree[1][2] and tree[1][1][1][1] is tree[2]
         tree = parse("O + E[1] + E[2]^40*E[2]^40")
         assert tree[1] is tree[2] and tree[3][1] is tree[3][2]
-        tree = parse("L[2/4,0] + L[1/2,0/3] + L[1/2,-0]^2 + L[0,1/2]")
-        assert tree[1] is tree[2] is tree[3][1] and tree[4] is not tree[1]
-        assert tree[1] == ("L", Fraction(1, 2), Fraction(0)) and tree[4] == ("L", Fraction(0), Fraction(1, 2))
+        # An L atom holds its class, so coordinates equal mod 1 are one node.
+        tree = parse("L[2/4,0] + L[1/2,0/3] + L[1/2,-0]^2 + L[0,1/2] + L[3/2,1] + L[-1/2,0]")
+        assert tree[1] is tree[2] is tree[3][1] is tree[5] is tree[6] and tree[4] is not tree[1]
+        assert tree[1] == ("L", line_class(Fraction(1, 2))) and tree[4] == ("L", line_class(0, Fraction(1, 2)))
+        assert tree[1][1] is line_class(Fraction(1, 2))
 
     def test_the_tree_is_the_unshared_tree_on_every_corpus_text(self):
         def tree_or_error(read, text):
@@ -239,16 +242,22 @@ class TestEvaluation:
         assert parse_object(f"{base}^1") == x and len(calls) == 2
 
     def test_a_repeated_group_is_evaluated_once(self, monkeypatch):
+        # The group's own product runs once, then the cube's two products.
+        import ellbundle.bundles
+
         calls = []
-        line = expr.line_class
-        monkeypatch.setattr(expr, "line_class", lambda *a, **k: calls.append(a) or line(*a, **k))
+        kernel = ellbundle.bundles._grouped_product
+        monkeypatch.setattr(ellbundle.bundles, "_grouped_product", lambda l, r: calls.append(1) or kernel(l, r))
         group = "(E[2]*L[1/3,0] + Ta)"
         cube = parse_object(f"{group}*{group}*{group}")
-        assert len(calls) == 2
+        assert len(calls) == 3
         assert cube == parse_object(f"{group}^3")
         calls.clear()
+        sums = []
+        total = BundleObject._sum
+        monkeypatch.setattr(BundleObject, "_sum", lambda args: sums.append(1) or total(args))
         cube = parse_object("(E[2] + Ta)*(E[2]+Ta)*((E[2] + Ta))")
-        assert len(calls) == 1
+        assert (len(sums), len(calls)) == (1, 2)
         assert cube == parse_object("(E[2] + Ta)^3")
 
     def test_a_repeated_power_is_evaluated_once(self, monkeypatch):

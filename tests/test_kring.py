@@ -237,11 +237,11 @@ class TestSummandClosure:
         assert closure.stabilized
 
     def test_a_closure_past_the_mask_limit_is_refused(self):
-        # E[r] at power 1 takes one step: one row entry and r shifts of its
-        # mask into the 2r bits of E[r] (x) E[r], so the budget fixes the
-        # largest rank mask that answers.
+        # E[r] at power 1 takes one step: one row entry, and r shifts of its
+        # mask and the growth check's three operations on the 2r bits of
+        # E[r] (x) E[r], so the budget fixes the largest rank mask that answers.
         def units(r):
-            return 2400 + r * (16 + 2 * r // 64)
+            return 2400 + (r + 3) * (16 + 2 * r // 64)
 
         r = next(r for r in count(math.isqrt(32 * BUDGET), -1) if units(r) <= BUDGET)
         assert summand_closure(atiyah(r), 1).classes == {Indecomposable(r)}
@@ -253,10 +253,11 @@ class TestSummandClosure:
 
     def test_a_closure_past_the_work_limit_is_refused(self):
         # E[1] + ... + E[k] is one twist whose ranks sum to k(k+1)/2, so its
-        # first step makes one row entry and k(k+1)/2 shifts into 2k bits.
-        # The closure draws from what its caller's budget has left.
+        # first step makes one row entry and k(k+1)/2 shifts into 2k bits,
+        # plus the growth check's three operations.  The closure draws from
+        # what its caller's budget has left.
         def units(k):
-            return 2400 + k * (k + 1) // 2 * (16 + 2 * k // 64)
+            return 2400 + (k * (k + 1) // 2 + 3) * (16 + 2 * k // 64)
 
         @_budget.metered
         def closure(obj):  # the closure, with only units(k) of the budget left
@@ -405,6 +406,16 @@ class TestSummandClosure:
         closure = summand_closure(obj, max_power)
         assert len(set(calls)) == len(calls) == products
         assert (len(closure.classes), closure.stabilized) == (classes, False)
+
+    def test_a_reused_row_draws_less_than_a_new_one(self, monkeypatch):
+        # Ta+Tb+E[2] to power 40: 12,340 step twists of three row entries
+        # each, 2,583 of them in new rows at 2400 units and 34,437 in rows
+        # reused from an earlier power at 400, plus 1,430,275 units for the
+        # four shifts and the growth check's three operations per step twist.
+        drawn = []
+        monkeypatch.setattr(kring, "draw", lambda units: drawn.append(units) or _budget.draw(units))
+        summand_closure(parse_object("Ta+Tb+E[2]"), 40)
+        assert (len(drawn), sum(drawn)) == (40, 2583 * 2400 + 34437 * 400 + 1430275)
 
     def test_max_power_validation(self):
         with pytest.raises(ValueError):

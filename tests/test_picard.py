@@ -1,12 +1,17 @@
+import copy
 import math
 import pickle
+import sys
+import threading
+import uuid
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellbundle import INFINITE, TRIVIAL, BundleObject, LineBundleClass, RingElement, line_class
+import ellbundle.picard as picard
+from ellbundle import INFINITE, TRIVIAL, BundleObject, LineBundleClass, RingElement, line_class, parse, parse_object
 
 from _strategies import free_parts, indecomposables, line_classes, torsion_coords
 
@@ -194,12 +199,80 @@ def test_coordinates_round_trip_through_constructor(t1, t2, free):
 
 @given(line_classes(max_order=3), line_classes(max_order=3))
 def test_eq_and_hash_agree_with_coordinates(a, b):
-    assert (a == b) == (ref(a) == ref(b))
-    assert (a != b) == (ref(a) != ref(b))
-    twin = LineBundleClass(*ref(a))
-    assert twin == a and hash(twin) == hash(a)
-    if a == b:
-        assert hash(a) == hash(b)
+    # One object per class: equality is identity, and so is the hash.
+    assert (a is b) == (ref(a) == ref(b))
+    assert (a == b) == (a is b) and (a != b) == (a is not b)
+    assert LineBundleClass(*ref(a)) is a
+
+
+def test_classes_define_no_equality_or_hash_of_their_own():
+    assert "__eq__" not in vars(LineBundleClass) and "__hash__" not in vars(LineBundleClass)
+    assert LineBundleClass.__eq__ is object.__eq__ and LineBundleClass.__hash__ is object.__hash__
+    assert LineBundleClass.__slots__ == ("_key",)
+
+
+def rebuilt(c):
+    """The class c built again along every route that makes a class."""
+    t1, t2, free = ref(c)
+    torsion = line_class(t1, t2)
+    (twist,) = parse_object(str(c))._groups  # the printed form, parsed and evaluated
+    return [
+        LineBundleClass(t1, t2, free),
+        line_class(t1 + 1, t2 - 3, dict(free)),
+        line_class(free=free) * torsion,
+        TRIVIAL * c,
+        c ** 1,
+        (c ** 3) * (c ** -2),
+        ~~c,
+        c.inverse().inverse(),
+        pickle.loads(pickle.dumps(c)),
+        copy.copy(c),
+        copy.deepcopy(c),
+        twist,
+    ], [parse(f"L[{t1},{t2}]")[1], parse(f"L[{t1 - 1},{t2 + 2}]")[1], torsion ** 1, copy.copy(torsion)]
+
+
+@given(line_classes(), line_classes(), st.integers(-6, 6))
+def test_equal_keys_give_one_object_along_every_route(a, b, n):
+    for c in (a, b, a * b, a ** n, ~b):
+        whole, torsion = rebuilt(c)
+        assert all(d is c for d in whole)
+        assert all(d is torsion[0] and d._key == c._key[:3] + ((),) for d in torsion)
+    assert a * b is b * a and (a * b) ** n is a ** n * b ** n
+
+
+def test_threads_racing_on_new_classes_get_one_object_per_class():
+    # Eight threads build the same 300 classes, none of which exists yet (a
+    # fresh generator name), half of them by the constructor and half by
+    # products, switching often.  They start each of ten rounds together.
+    names = ["g" + uuid.uuid4().hex for _ in range(10)]
+    keys = [(1009, k, 0, ((name, 1),)) for name in names for k in range(1, 301)]
+    assert not any(key in picard._classes for key in keys)
+    barrier = threading.Barrier(8, timeout=60)
+    results = [[] for _ in range(8)]
+
+    def build(i):
+        for name in names:
+            gen, step = line_class(free={name: 1}), line_class(Fraction(1, 1009))
+            barrier.wait()
+            if i % 2:
+                results[i] += [LineBundleClass(Fraction(k, 1009), Fraction(0), ((name, 1),)) for k in range(1, 301)]
+            else:
+                results[i] += [gen * step ** k for k in range(1, 301)]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for key, built in zip(keys, zip(*results, strict=True), strict=True):
+        assert all(c is picard._classes[key] for c in built)
 
 
 @given(line_classes(), line_classes(), st.integers(-13, 13))
@@ -231,7 +304,8 @@ def test_refused_coordinates_keep_their_messages():
 
 def test_classes_survive_pickling():
     c = line_class(Fraction(1, 6), Fraction(3, 4), {"g": 2, "h": -1})
-    assert pickle.loads(pickle.dumps(c)) == c
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(c, protocol)) is c
 
 
 def test_twists_sort_by_torsion_order_then_numerators_then_free_part():
