@@ -74,8 +74,8 @@ def tensor_rank_indices(r: int, s: int) -> tuple[int, ...]:
     return tuple(range(abs(r - s) + 1, r + s, 2))
 
 
-# Bound once for Indecomposable._trusted, which closures and sorted views call
-# for every class they build, for _Combination._from_groups and for the kernel's draw.
+# Bound once for the trusted builders, _Frozen._trusted and
+# _Combination._from_groups, and for the kernel's draw.
 _new, _set, _free = object.__new__, object.__setattr__, attrgetter("free")
 
 
@@ -83,7 +83,15 @@ class _Frozen:
     """Immutable values: a subclass names its fields in its class statement
     (``fields=(...)``) and passes their values, in that order, to
     ``_Frozen.__init__``, which sets each once; equality holds only within one
-    class, the hash is that of the field tuple and the repr ``Name(field=...)``."""
+    class, the hash is that of the field tuple and the repr ``Name(field=...)``.
+
+    The base has no slots of its own (``__slots__ = ()``), so a subclass that
+    declares its fields as ``__slots__`` has no ``__dict__``.  Pickling,
+    ``copy.copy`` and ``copy.deepcopy`` rebuild a value from its fields
+    through its checked constructor (``__reduce__``), since assignment
+    raises and a slotted value has no dict to restore."""
+
+    __slots__ = ()
 
     def __init_subclass__(cls, fields: tuple[str, ...] = ()) -> None:
         cls._fields = fields
@@ -95,6 +103,16 @@ class _Frozen:
     def __init__(self, *values) -> None:
         for name, value in zip(self._fields, values, strict=True):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The value of these fields built without the constructor's checks."""
+        out = _new(cls)
+        _Frozen.__init__(out, *values)
+        return out
+
+    def __reduce__(self):
+        return type(self), self._values
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -118,6 +136,8 @@ class _Frozen:
 class Indecomposable(_Frozen, fields=("rank", "twist")):
     """An Atiyah bundle E_rank twisted by a line bundle class."""
 
+    __slots__ = ("rank", "twist")  # closures build thousands: no __dict__ each
+
     def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
         if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer")
@@ -130,10 +150,12 @@ class Indecomposable(_Frozen, fields=("rank", "twist")):
     def _trusted(cls, rank: int, twist: LineBundleClass) -> "Indecomposable":
         """The class E_rank (x) twist built without the constructor's checks,
         as ``picard._reduced`` builds twists; only for a positive int rank and
-        a ``LineBundleClass`` twist."""
+        a ``LineBundleClass`` twist.  Closures and sorted views call it for
+        every class they build, so it sets the slots through their
+        descriptors, bound once below the class."""
         out = _new(cls)
-        _set(out, "rank", rank)
-        _set(out, "twist", twist)
+        _set_rank(out, rank)
+        _set_twist(out, twist)
         return out
 
     # Two named fields, not the base's generic tuple: closures hash every class.
@@ -152,6 +174,9 @@ class Indecomposable(_Frozen, fields=("rank", "twist")):
         if self.twist.is_trivial:
             return f"E[{self.rank}]"
         return f"E[{self.rank}]*{self.twist}"
+
+
+_set_rank, _set_twist = Indecomposable.rank.__set__, Indecomposable.twist.__set__
 
 
 Coeff = int | Fraction

@@ -119,8 +119,10 @@ class SummandClosure(_Frozen, fields=("classes", "stabilized")):
     """
 
     def __init__(self, classes: frozenset[Indecomposable], stabilized: bool) -> None:
-        if type(classes) is not frozenset:
-            raise TypeError("classes must be a frozenset")
+        if type(classes) is not frozenset or not all(isinstance(ind, Indecomposable) for ind in classes):
+            raise TypeError("classes must be a frozenset of Indecomposable")
+        if type(stabilized) is not bool:
+            raise TypeError("stabilized must be a bool")
         super().__init__(classes, stabilized)
 
 
@@ -152,13 +154,13 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     seen = dict(gens)
     rows: Rows = {}
     step = gens
-    # Per step twist: a row entry per generator twist, 7 us in a new row (a twist
-    # product), 1.2 us in a reused one; q shifts per rank q and the growth check's
-    # three big-int operations, each 50 ns + 3 ns a word.
+    # Per step twist: a row entry per generator twist, 3.3 us in a new row (an
+    # interned twist product), 1.2 us in a reused one; q shifts per rank q and the
+    # growth check's three big-int operations, each 50 ns + 3 ns a word.
     shifts, top = 3 + sum(map(sum, obj._groups.values())), max(map(max, obj._groups.values()), default=0)
     for power in range(1, max_power + 1):
         reused = len(step.keys() & rows.keys())  # step twists whose row an earlier power built
-        entries = (2400 * (len(step) - reused) + 400 * reused) * len(gens)
+        entries = (1100 * (len(step) - reused) + 400 * reused) * len(gens)
         draw(entries + len(step) * shifts * (16 + (power + 1) * top // 64))
         step = _grouped_support(step, gens, rows)  # S_(power+1)
         grown = {twist: seen.get(twist, 0) | mask for twist, mask in step.items() if mask & ~seen.get(twist, 0)}
@@ -167,7 +169,7 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
         seen.update(grown)
     trusted = Indecomposable._trusted
     classes = frozenset(trusted(rank, twist) for twist, mask in seen.items() for rank in _mask_ranks(mask))
-    return SummandClosure(classes, not grown)
+    return SummandClosure._trusted(classes, not grown)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -258,8 +260,14 @@ class TannakianLabel(_Frozen, fields=("unipotent", "free_rank", "torsion")):
     """
 
     def __init__(self, unipotent: bool, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        if type(unipotent) is not bool:
+            raise TypeError("unipotent must be a bool")
+        if type(free_rank) is not int or free_rank < 0:
+            raise ValueError("free_rank must be a nonnegative integer")
         if type(torsion) is not tuple:
             raise TypeError("torsion must be a tuple")
+        if not all(type(d) is int and d >= 2 for d in torsion):
+            raise ValueError("torsion orders must be integers of at least 2")
         super().__init__(unipotent, free_rank, torsion)
 
     def __str__(self) -> str:
@@ -281,5 +289,5 @@ def tannakian_label(ind: Indecomposable) -> TannakianLabel:
     """
     order = ind.twist.order()
     if order == INFINITE:
-        return TannakianLabel(ind.rank > 1, 1)
-    return TannakianLabel(ind.rank > 1, 0, (order,) if order > 1 else ())
+        return TannakianLabel._trusted(ind.rank > 1, 1, ())
+    return TannakianLabel._trusted(ind.rank > 1, 0, (order,) if order > 1 else ())

@@ -243,7 +243,7 @@ COLD_QUERIES = {
     # nothing drawn before it.
     "budget-closure": (
         False, ["summands", "E[200000]", "--max-power", "2"], 3,
-        lambda err: refused(err) and err.endswith(f"(1253221198 units asked, {BUDGET} of {BUDGET} left)\n"),
+        lambda err: refused(err) and err.endswith(f"(1253219898 units asked, {BUDGET} of {BUDGET} left)\n"),
     ),
     # ... and still answers the largest inputs that answered before it.
     "budget-e2-chain": (False, ["rank", "E[2]^2000"], 0, lambda out: out == f"{2 ** 2000}\n"),

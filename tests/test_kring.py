@@ -241,7 +241,7 @@ class TestSummandClosure:
         # mask and the growth check's three operations on the 2r bits of
         # E[r] (x) E[r], so the budget fixes the largest rank mask that answers.
         def units(r):
-            return 2400 + (r + 3) * (16 + 2 * r // 64)
+            return 1100 + (r + 3) * (16 + 2 * r // 64)
 
         r = next(r for r in count(math.isqrt(32 * BUDGET), -1) if units(r) <= BUDGET)
         assert summand_closure(atiyah(r), 1).classes == {Indecomposable(r)}
@@ -257,7 +257,7 @@ class TestSummandClosure:
         # plus the growth check's three operations.  The closure draws from
         # what its caller's budget has left.
         def units(k):
-            return 2400 + (k * (k + 1) // 2 + 3) * (16 + 2 * k // 64)
+            return 1100 + (k * (k + 1) // 2 + 3) * (16 + 2 * k // 64)
 
         @_budget.metered
         def closure(obj):  # the closure, with only units(k) of the budget left
@@ -272,6 +272,17 @@ class TestSummandClosure:
         assert str(info.value) == (
             f"query too large for its work budget ({units(k + 1)} units asked, {units(k)} of {BUDGET} left)"
         )
+
+    def test_a_wide_generator_is_refused_at_its_first_step(self):
+        # 676 free twists make 676 * 676 new row entries at 1100 units, more
+        # than the whole budget before any shift: the step is refused before
+        # it runs.  Per step twist, 679 shifts and checks on 1-word masks.
+        wide = parse_object("+".join(f"Ta{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(676)))
+        assert 676 * 676 * 1100 > BUDGET
+        with pytest.raises(ValueError) as info:
+            summand_closure(wide, 1)
+        units = 676 * 676 * 1100 + 676 * 679 * 16
+        assert str(info.value) == f"query too large for its work budget ({units} units asked, {BUDGET} of {BUDGET} left)"
 
     def test_each_thread_has_a_budget_of_its_own(self):
         # Each closure draws about r * r / 32 units, over half the budget, so
@@ -409,13 +420,13 @@ class TestSummandClosure:
 
     def test_a_reused_row_draws_less_than_a_new_one(self, monkeypatch):
         # Ta+Tb+E[2] to power 40: 12,340 step twists of three row entries
-        # each, 2,583 of them in new rows at 2400 units and 34,437 in rows
+        # each, 2,583 of them in new rows at 1100 units and 34,437 in rows
         # reused from an earlier power at 400, plus 1,430,275 units for the
         # four shifts and the growth check's three operations per step twist.
         drawn = []
         monkeypatch.setattr(kring, "draw", lambda units: drawn.append(units) or _budget.draw(units))
         summand_closure(parse_object("Ta+Tb+E[2]"), 40)
-        assert (len(drawn), sum(drawn)) == (40, 2583 * 2400 + 34437 * 400 + 1430275)
+        assert (len(drawn), sum(drawn)) == (40, 2583 * 1100 + 34437 * 400 + 1430275)
 
     def test_max_power_validation(self):
         with pytest.raises(ValueError):

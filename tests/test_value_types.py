@@ -8,9 +8,13 @@ dataclasses would: fields cannot be assigned or deleted, equality holds only
 within one class, the hash is that of the field tuple (which also fixes the
 iteration order of frozensets of them), the repr has the ``Name(field=...)``
 shape, and the constructors take their fields by position or by name.
+``Indecomposable`` keeps its fields in slots and has no ``__dict__``; every
+value pickles and copies back through its checked constructor.
 """
 
+import copy
 import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -57,6 +61,34 @@ def test_fields_cannot_be_assigned_or_deleted(value, field):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("value, field", VALUES)
+def test_values_pickle_and_copy_back_equal(value, field):
+    copies = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.copy(value), copy.deepcopy(value)]:
+        assert type(other) is type(value) and other == value and hash(other) == hash(value)
+        assert getattr(other, field) == getattr(value, field)
+
+
+def test_copies_go_through_the_checked_constructor(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("checked")
+
+    for cls in (Indecomposable, BundleObject, SummandClosure, TannakianLabel):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for value in (IND, OBJ, CLOSURE, LABEL):
+        with pytest.raises(AssertionError, match="checked"):
+            pickle.loads(pickle.dumps(value))
+        with pytest.raises(AssertionError, match="checked"):
+            copy.copy(value)
+
+
+def test_indecomposables_keep_their_fields_in_slots():
+    assert Indecomposable.__slots__ == ("rank", "twist")
+    trusted = Indecomposable._trusted(2, L13)
+    assert trusted == IND and hash(trusted) == hash(IND)
+    assert not hasattr(IND, "__dict__") and not hasattr(trusted, "__dict__")
 
 
 def test_equality_needs_the_same_class_and_equal_fields():
@@ -185,4 +217,22 @@ def test_public_constructors_check_their_fields():
         TannakianLabel(True, 0, [3])
     with pytest.raises(TypeError, match="classes must be a frozenset"):
         SummandClosure({e2}, True)
+    with pytest.raises(TypeError, match="classes must be a frozenset of Indecomposable"):
+        SummandClosure(frozenset({1, "x"}), True)
+    with pytest.raises(TypeError, match="classes must be a frozenset of Indecomposable"):
+        SummandClosure(frozenset({e2, (2, TRIVIAL)}), True)
+    for stabilized in ("yes", 1, None):
+        with pytest.raises(TypeError, match="stabilized must be a bool"):
+            SummandClosure(frozenset({e2}), stabilized)
+    for unipotent in (1, "yes", None):
+        with pytest.raises(TypeError, match="unipotent must be a bool"):
+            TannakianLabel(unipotent)
+    for free_rank in (-1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="free_rank must be a nonnegative integer"):
+            TannakianLabel(True, free_rank)
+    for torsion in (("x",), (1,), (0,), (-2,), (True,), (2.0,), (3, 1)):
+        with pytest.raises(ValueError, match="torsion orders must be integers of at least 2"):
+            TannakianLabel(True, 0, torsion)
+    with pytest.raises(ValueError, match="free_rank must be a nonnegative integer"):
+        TannakianLabel(True, -2, ("x",))
 
