@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter, sub
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, sub
 
 from ._budget import draw
 from .picard import TRIVIAL, LineBundleClass
@@ -85,11 +85,13 @@ class _Frozen:
     ``_Frozen.__init__``, which sets each once; equality holds only within one
     class, the hash is that of the field tuple and the repr ``Name(field=...)``.
 
-    The base has no slots of its own (``__slots__ = ()``), so a subclass that
-    declares its fields as ``__slots__`` has no ``__dict__``.  Pickling,
-    ``copy.copy`` and ``copy.deepcopy`` rebuild a value from its fields
-    through its checked constructor (``__reduce__``), since assignment
-    raises and a slotted value has no dict to restore."""
+    The base has no slots of its own (``__slots__ = ()``), so a subclass may
+    also be a ``tuple`` whose items are its fields, read through properties
+    (:class:`Indecomposable`): it then sets them in ``__new__``, and its own
+    ``__init__`` keeps this one from running.  Pickling, ``copy.copy`` and
+    ``copy.deepcopy`` rebuild a value from its fields through its checked
+    constructor (``__reduce__``), since assignment raises and a tuple or a
+    slotted value has no dict to restore."""
 
     __slots__ = ()
 
@@ -133,39 +135,43 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Indecomposable(_Frozen, fields=("rank", "twist")):
-    """An Atiyah bundle E_rank twisted by a line bundle class."""
+class Indecomposable(_Frozen, tuple, fields=("rank", "twist")):
+    """An Atiyah bundle E_rank twisted by a line bundle class: the pair
+    ``(rank, twist)`` itself, a tuple whose items are its fields.
 
-    __slots__ = ("rank", "twist")  # closures build thousands: no __dict__ each
+    Closures build and hash classes by the thousand, so the hash is tuple's
+    own, in C, and equals ``hash((rank, twist))``; :func:`_indecomposables`
+    builds them in C too.  Equality still holds only within the class: an
+    indecomposable is never equal to a plain tuple, and it has no order."""
 
-    def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
+    __slots__ = ()  # a tuple subclass of no own slots has no __dict__
+    rank = property(itemgetter(0))
+    twist = property(itemgetter(1))
+
+    def __new__(cls, rank: int, twist: LineBundleClass = TRIVIAL) -> "Indecomposable":
         if type(rank) is not int or rank < 1:
             raise ValueError("rank must be a positive integer")
         if not isinstance(twist, LineBundleClass):
             raise TypeError("the twist must be a LineBundleClass")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "twist", twist)
+        return tuple.__new__(cls, (rank, twist))
 
-    @classmethod
-    def _trusted(cls, rank: int, twist: LineBundleClass) -> "Indecomposable":
-        """The class E_rank (x) twist built without the constructor's checks,
-        as ``picard._reduced`` builds twists; only for a positive int rank and
-        a ``LineBundleClass`` twist.  Closures and sorted views call it for
-        every class they build, so it sets the slots through their
-        descriptors, bound once below the class."""
-        out = _new(cls)
-        _set_rank(out, rank)
-        _set_twist(out, twist)
-        return out
+    def __init__(self, rank: int, twist: LineBundleClass = TRIVIAL) -> None:
+        """The fields are the tuple's items, set by ``__new__``: ``_Frozen.__init__``,
+        which assigns them as attributes, must not run."""
 
-    # Two named fields, not the base's generic tuple: closures hash every class.
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rank == other.rank and self.twist is other.twist
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # False, not NotImplemented: tuple's reflected __eq__ would compare the items.
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.rank, self.twist))
+    __ne__ = object.__ne__  # tuple's would compare items with a plain tuple
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("indecomposables are not ordered; sort by sort_key()")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def sort_key(self):
         return (self.rank, self.twist.sort_key())
@@ -176,7 +182,14 @@ class Indecomposable(_Frozen, fields=("rank", "twist")):
         return f"E[{self.rank}]*{self.twist}"
 
 
-_set_rank, _set_twist = Indecomposable.rank.__set__, Indecomposable.twist.__set__
+def _indecomposables(pairs: Iterable[tuple[int, LineBundleClass]]) -> Iterator[Indecomposable]:
+    """The classes E_rank (x) twist of ``(rank, twist)`` pairs, built lazily
+    and in C, without the constructor's checks, as ``picard._reduced``
+    builds twists: only for positive int ranks and ``LineBundleClass``
+    twists.  Every class that a closure, ``classes()`` or a sorted view
+    hands out is built here, the first two fed ``zip(ranks, repeat(twist))``
+    per twist, so no Python frame runs per class."""
+    return map(tuple.__new__, repeat(Indecomposable), pairs)
 
 
 Coeff = int | Fraction
@@ -448,8 +461,7 @@ class _Combination(_Frozen):
             key = twist.sort_key()
             rows.extend((rank, key, twist, coeff) for rank, coeff in ranks.items())
         rows.sort()  # the keys (rank, twist key) are distinct: no twist is compared
-        trusted = Indecomposable._trusted
-        return tuple((trusted(rank, twist), coeff) for rank, _, twist, coeff in rows)
+        return tuple(zip(_indecomposables(map(itemgetter(0, 2), rows)), map(itemgetter(3), rows)))
 
     @classmethod
     def of(
@@ -553,8 +565,8 @@ class BundleObject(_Combination, fields=("summands",)):
     # -- structure ----------------------------------------------------
 
     def classes(self) -> frozenset[Indecomposable]:
-        trusted = Indecomposable._trusted
-        return frozenset(trusted(rank, twist) for twist, ranks in self._groups.items() for rank in ranks)
+        pairs = chain.from_iterable(zip(ranks, repeat(twist)) for twist, ranks in self._groups.items())
+        return frozenset(_indecomposables(pairs))
 
     # An own binding, not the inherited one: bench/tracer.py wraps it by
     # name and would otherwise wrap the base method that RingElement calls too.
@@ -631,12 +643,22 @@ def atiyah(rank: int, twist: LineBundleClass = TRIVIAL) -> BundleObject:
     return BundleObject(((Indecomposable(rank, twist), 1),))
 
 
+def _expect(value, cls: type) -> None:
+    """Refuse ``value`` unless it is a ``cls``, with a TypeError naming its type:
+    a ring element's numerators are no multiplicities, and a plain
+    ``(rank, twist)`` tuple indexes like an indecomposable."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected {cls.__name__}, not {type(value).__name__}")
+
+
 def hom_dim(a: BundleObject, b: BundleObject) -> int:
     """dim Hom(a, b): on indecomposables min(r, s) gated by equal twists.
 
     Agrees with ``(a.dual() * b).gamma_dim()``, i.e. with counting sections
     of the internal Hom.
     """
+    _expect(a, BundleObject)
+    _expect(b, BundleObject)
     right = b._groups
     pairs = sum(len(ranks) * len(right.get(twist, ())) for twist, ranks in a._groups.items())
     draw(pairs * (150 + _limbs(a._groups, right) ** 2 // 3))  # 0.45 us a pair of short multiplicities

@@ -47,7 +47,7 @@ from functools import lru_cache
 from operator import add
 
 from ._budget import draw, metered
-from .bundles import BundleObject, _Frozen
+from .bundles import BundleObject, _expect, _Frozen
 
 __all__ = [
     "exact_rank",
@@ -261,6 +261,7 @@ def phi_transport(obj: BundleObject, modulus: int) -> ProductObject:
     i.e. have second coordinate zero, no free part, and first-coordinate
     denominator dividing m; otherwise :class:`TransportError` is raised.
     """
+    _expect(obj, BundleObject)
     _check_modulus(modulus)
     acc: Counter[Component] = Counter()
     groups = obj._groups

@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import chain, count, repeat
 
 from ._budget import draw, metered
-from .bundles import (BundleObject, Groups, Indecomposable, Rows, _Combination, _Frozen,
-                      _grouped_product, _grouped_support, _mask_ranks)
+from .bundles import (BundleObject, Groups, Indecomposable, Rows, _Combination, _expect, _Frozen,
+                      _grouped_product, _grouped_support, _indecomposables, _mask_ranks)
 from .picard import INFINITE, TRIVIAL, LineBundleClass
 
 __all__ = [
@@ -76,8 +76,7 @@ class RingElement(_Combination, fields=("terms",)):
     @classmethod
     def from_object(cls, obj: BundleObject) -> "RingElement":
         """The object's class in the ring; it shares the object's rank maps."""
-        if not isinstance(obj, BundleObject):
-            raise TypeError(f"expected a BundleObject, not {type(obj).__name__}")
+        _expect(obj, BundleObject)
         return cls._from_groups(obj._groups)
 
     def __neg__(self) -> "RingElement":
@@ -146,6 +145,7 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
     shifts and its growth check, the last two weighted by the length of its
     output, from the query's work budget.
     """
+    _expect(obj, BundleObject)
     if type(max_power) is not int:
         raise TypeError(f"max_power must be an int, not {type(max_power).__name__}")
     if max_power < 1:
@@ -167,9 +167,8 @@ def summand_closure(obj: BundleObject, max_power: int = 8) -> SummandClosure:
         if power == max_power or not grown:
             break
         seen.update(grown)
-    trusted = Indecomposable._trusted
-    classes = frozenset(trusted(rank, twist) for twist, mask in seen.items() for rank in _mask_ranks(mask))
-    return SummandClosure._trusted(classes, not grown)
+    pairs = chain.from_iterable(zip(_mask_ranks(mask), repeat(twist)) for twist, mask in seen.items())
+    return SummandClosure._trusted(frozenset(_indecomposables(pairs)), not grown)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -207,6 +206,7 @@ class ClosedForm(_Frozen, fields=("rank", "twist")):
         return self.twist.order()
 
     def contains(self, ind: Indecomposable) -> bool:
+        _expect(ind, Indecomposable)
         # L = (a, b)/d has gcd(a, b, d) = 1, so some a + kb is a unit mod d.
         # L^i = M = (p, q)/e needs e | d, and then (p + kq)d/e = i(a + kb) mod d.
         d, a, b, _ = self.twist.sort_key()
@@ -236,6 +236,7 @@ class ClosedForm(_Frozen, fields=("rank", "twist")):
 def closed_form_S(ind: Indecomposable) -> ClosedForm | None:
     """Closed form of S(E) for a generator with a torsion twist; None for a
     twist of infinite order, whose closure is not periodic in the twist."""
+    _expect(ind, Indecomposable)
     if not ind.twist.is_torsion:
         return None
     return ClosedForm(ind.rank, ind.twist)
@@ -247,6 +248,7 @@ def closed_form_S(ind: Indecomposable) -> ClosedForm | None:
 def krull_dim_class(obj: BundleObject) -> int:
     """Krull dimension class of the subring generated by S(obj): the finiteness
     class, 0 iff obj is finite and 1 otherwise, not the exact dimension."""
+    _expect(obj, BundleObject)
     if obj.is_zero:
         raise ValueError("the zero object generates no subring")
     return 0 if obj.is_finite else 1
@@ -287,6 +289,7 @@ def tannakian_label(ind: Indecomposable) -> TannakianLabel:
     so they share no nontrivial quotient, and the group of <E_2, L> is
     their product.  For r = 1 the category is <L> alone.
     """
+    _expect(ind, Indecomposable)
     order = ind.twist.order()
     if order == INFINITE:
         return TannakianLabel._trusted(ind.rank > 1, 1, ())

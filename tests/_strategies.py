@@ -46,7 +46,7 @@ def bundle_objects(max_rank: int = 4, max_summands: int = 3, with_free: bool = T
 def unipotent_objects(max_rank: int = 4):
     return st.lists(
         st.tuples(
-            st.builds(Indecomposable, st.integers(1, max_rank)), st.integers(1, 2)
+            st.integers(1, max_rank).map(Indecomposable), st.integers(1, 2)
         ),
         max_size=3,
     ).map(BundleObject.of)

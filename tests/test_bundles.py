@@ -321,6 +321,13 @@ class TestHom:
         )
         assert hom_dim(E(2, L13), E(2)) == 0
 
+    def test_refuses_ring_elements(self):
+        # A ring element's numerators are no multiplicities: 1/2 [E1] and -[E2] read as 1 and -1.
+        half, minus = RingElement.of({Indecomposable(1): Fraction(1, 2)}), -RingElement.of({Indecomposable(2): 1})
+        for a, b in ((half, UNIT), (UNIT, half), (minus, atiyah(2))):
+            with pytest.raises(TypeError, match="^expected BundleObject, not RingElement$"):
+                hom_dim(a, b)
+
     @given(bundle_objects(), bundle_objects())
     def test_agrees_with_gamma_of_internal_hom(self, a, b):
         assert hom_dim(a, b) == (a.dual() * b).gamma_dim()

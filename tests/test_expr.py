@@ -211,14 +211,17 @@ class TestEvaluation:
     def test_evaluate_builds_classes_only_when_the_summands_are_read(self, monkeypatch):
         # Every node keeps the twist-grouped map; the 105 classes of big^6
         # are built once, for the one read of the sorted summands.
+        import ellbundle.bundles
+
         built = []
-        trusted = Indecomposable._trusted
+        builder = ellbundle.bundles._indecomposables
 
-        def counted(cls, rank, twist):
-            built.append(rank)
-            return trusted(rank, twist)
+        def counted(pairs):
+            pairs = list(pairs)
+            built.extend(pairs)
+            return builder(pairs)
 
-        monkeypatch.setattr(Indecomposable, "_trusted", classmethod(counted))
+        monkeypatch.setattr(ellbundle.bundles, "_indecomposables", counted)
         obj = parse_object("(E[2]*L[1/5,0] + E[3]*L[0,1/7] + Tg)^6")
         assert built == []
         assert len(obj.summands) == 105 and obj.summands is obj.summands

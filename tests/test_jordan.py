@@ -10,6 +10,7 @@ import ellbundle.jordan
 from ellbundle import (
     ModulusMismatchError,
     ProductObject,
+    RingElement,
     TransportError,
     UNIT,
     atiyah,
@@ -390,6 +391,11 @@ class TestPhiTransport:
     def test_rejects_non_int_modulus(self, modulus):
         with pytest.raises(ValueError, match="modulus must be a positive integer"):
             phi_transport(UNIT, modulus)
+
+    def test_rejects_a_ring_element(self):
+        # Read as an object, 1/2 [E1] would transport to (0,1) mod 1.
+        with pytest.raises(TypeError, match="^expected BundleObject, not RingElement$"):
+            phi_transport(RingElement.from_object(UNIT) * Fraction(1, 2), 1)
 
     def test_rejects_free_part(self):
         with pytest.raises(TransportError):

@@ -8,6 +8,7 @@ from itertools import count
 import ellbundle.kring as kring
 from ellbundle import _budget
 from ellbundle._budget import BUDGET
+from ellbundle.bundles import _mask_ranks
 
 import pytest
 from hypothesis import given, strategies as st
@@ -432,6 +433,26 @@ class TestSummandClosure:
         with pytest.raises(ValueError):
             summand_closure(atiyah(1), 0)
 
+    def test_refuses_a_ring_element(self):
+        # Read as an object, -[E2] would give the ranks 1-4 of E[2]'s closure.
+        with pytest.raises(TypeError, match="^expected BundleObject, not RingElement$"):
+            summand_closure(-basis(2), 3)
+
+    @given(bundle_objects(max_rank=8, max_summands=3), st.integers(1, 4))
+    def test_built_classes_equal_checked_ones_class_by_class(self, obj, max_power):
+        # The C-level builder behind closures, classes() and summands gives
+        # what the checked constructor gives from the same rank masks.
+        for classes in (summand_closure(obj, max_power).classes, obj.classes(), [ind for ind, _ in obj.summands]):
+            masks = {}
+            for ind in classes:
+                masks[ind.twist] = masks.get(ind.twist, 0) | 1 << ind.rank
+            checked = [Indecomposable(rank, twist) for twist, mask in masks.items() for rank in _mask_ranks(mask)]
+            assert len(checked) == len(classes)
+            key = Indecomposable.sort_key
+            for built, ref in zip(sorted(classes, key=key), sorted(checked, key=key), strict=True):
+                assert type(built) is Indecomposable and built == ref and hash(built) == hash(ref)
+                assert (built.rank, built.twist) == tuple(built) == tuple(ref) and repr(built) == repr(ref)
+
     @pytest.mark.parametrize("max_power", [True, 2.5, "3", None])
     def test_max_power_must_be_an_int(self, max_power):
         with pytest.raises(TypeError, match="max_power"):
@@ -539,6 +560,15 @@ class TestClosedForm:
                     expected = any((k - 1 - n) % 2 == 0 for n in (i, i + m))
                     assert form.contains(Indecomposable(k, power)) == expected, (twist, k, i)
 
+    def test_refuses_a_plain_pair(self):
+        # A (rank, twist) tuple indexes like an indecomposable but is none.
+        with pytest.raises(TypeError, match="^expected Indecomposable, not tuple$"):
+            closed_form_S((2, L13))
+
+    def test_contains_refuses_a_plain_pair(self):
+        with pytest.raises(TypeError, match="^expected Indecomposable, not tuple$"):
+            ClosedForm(2, L13).contains((2, L13))
+
     def test_descriptions_are_deterministic(self):
         form = closed_form_S(Indecomposable(2, L13))
         assert form.description() == closed_form_S(Indecomposable(2, L13)).description()
@@ -558,6 +588,10 @@ class TestKrullDim:
     def test_zero_object_rejected(self):
         with pytest.raises(ValueError):
             krull_dim_class(ZERO)
+
+    def test_refuses_a_ring_element(self):
+        with pytest.raises(TypeError, match="^expected BundleObject, not RingElement$"):
+            krull_dim_class(basis(1, L12) * Fraction(1, 2))
 
 
 class TestTannakianLabel:
@@ -604,6 +638,10 @@ class TestTannakianLabel:
                 assert tannakian_label(Indecomposable(r, twist)) == tannakian_label(
                     Indecomposable(2, twist)
                 )
+
+    def test_refuses_a_plain_pair(self):
+        with pytest.raises(TypeError, match="^expected Indecomposable, not tuple$"):
+            tannakian_label((2, L13))
 
     def test_label_matches_finiteness(self):
         for rank in (1, 2, 3):

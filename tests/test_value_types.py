@@ -8,12 +8,14 @@ dataclasses would: fields cannot be assigned or deleted, equality holds only
 within one class, the hash is that of the field tuple (which also fixes the
 iteration order of frozensets of them), the repr has the ``Name(field=...)``
 shape, and the constructors take their fields by position or by name.
-``Indecomposable`` keeps its fields in slots and has no ``__dict__``; every
-value pickles and copies back through its checked constructor.
+``Indecomposable`` is the tuple ``(rank, twist)``, hashed by tuple's own
+hash and without a ``__dict__``, yet equal to no plain tuple and unordered;
+every value pickles and copies back through its checked constructor.
 """
 
 import copy
 import inspect
+import operator
 import pickle
 from fractions import Fraction
 
@@ -33,6 +35,7 @@ from ellbundle import (
     parse_object,
     summand_closure,
 )
+from ellbundle.bundles import _indecomposables
 from ellbundle.expr import _tokenize
 
 L13 = line_class(Fraction(1, 3), 0)
@@ -84,11 +87,27 @@ def test_copies_go_through_the_checked_constructor(monkeypatch):
             copy.copy(value)
 
 
-def test_indecomposables_keep_their_fields_in_slots():
-    assert Indecomposable.__slots__ == ("rank", "twist")
-    trusted = Indecomposable._trusted(2, L13)
-    assert trusted == IND and hash(trusted) == hash(IND)
-    assert not hasattr(IND, "__dict__") and not hasattr(trusted, "__dict__")
+def test_indecomposables_are_pairs_hashed_by_tuple():
+    assert Indecomposable.__slots__ == () and Indecomposable.__hash__ is tuple.__hash__
+    (built,) = _indecomposables([(2, L13)])
+    assert type(built) is Indecomposable and built == IND and hash(built) == hash(IND) == hash((2, L13))
+    assert tuple(IND) == tuple(built) == (2, L13)
+    assert not hasattr(IND, "__dict__") and not hasattr(built, "__dict__")
+
+
+def test_indecomposables_equal_no_plain_tuple():
+    pair = (2, L13)
+    assert (IND == pair) is False and (pair == IND) is False
+    assert (IND != pair) is True and (pair != IND) is True
+    assert IND.__eq__(pair) is False and IND.__eq__(OBJ) is NotImplemented
+    assert hash(FORM) == hash(IND) and FORM != IND and IND != FORM
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_indecomposables_have_no_order(op):
+    for left, right in ((IND, Indecomposable(3)), (IND, (2, L13)), ((2, L13), IND)):
+        with pytest.raises(TypeError):
+            op(left, right)
 
 
 def test_equality_needs_the_same_class_and_equal_fields():
