@@ -223,10 +223,15 @@ COLD_QUERIES = {
     ),
     # The oracle's per-degree images on blocks larger than the acceptance
     # suite's; a long, thin pair whose sizes it swaps; and mixed parities,
-    # swapped too, with both full degrees and degrees it still reduces.
+    # swapped too, with both full degrees and degrees it still reduces.  A
+    # unit block beside a long one: every diagonal's prefix ends in a full
+    # degree and hands over, with no vector work.
     "oracle-40x40": (True, ["oracle-check", "E[40]", "E[40]", "--modulus", "1"], 0, oracle_agrees),
     "oracle-200x8": (True, ["oracle-check", "E[200]", "E[8]", "--modulus", "1"], 0, oracle_agrees),
     "oracle-61x60": (True, ["oracle-check", "E[61]", "E[60]", "--modulus", "1"], 0, oracle_agrees),
+    "oracle-4000x1": (
+        False, ["oracle-check", "E[4000]", "E[1]", "--modulus", "1"], 0, lambda out: out == "ok: mod 1: (0,4000)\n",
+    ),
     # The work budget refuses what would run for seconds, minutes or more: a
     # power chain whose packed products outgrow it, one of multiplicities
     # 2^n times larger at every step, one whose twists multiply twelvefold,

@@ -1,13 +1,17 @@
 import inspect
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from operator import add, mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ellbundle.jordan
 
 from ellbundle import (
+    BundleObject,
+    Indecomposable,
     ModulusMismatchError,
     ProductObject,
     RingElement,
@@ -268,19 +272,28 @@ class TestJordanTensor:
                 assert jordan_tensor(r, s) == dense_rank_profile(r, s), (r, s)
 
     def test_matches_the_stepwise_images(self):
-        # Full degrees are neither reduced nor lowered twice; the answer is
-        # that of lowering every degree and reducing every popped vector.
-        for r in range(1, 21):
-            for s in range(r, 21):
-                expected = stepwise_jordan_type(r, s)
-                for args in [(r, s), (s, r)]:
-                    jordan_tensor.cache_clear()
-                    assert jordan_tensor(*args) == expected, args
+        # The walk skips the vector work of pivot-keeping prefixes, writing
+        # their last basis as binomial rows, and copies the ranks of a
+        # diagonal that reaches a full degree; the answer is that of lowering
+        # every degree at every step and reducing every popped vector.  Tall
+        # pairs hand whole diagonals over after their prefixes.
+        tall = [(r, s) for r in range(1, 5) for s in (21, 22, 63, 64, 149, 150)]
+        for r, s in [(r, s) for r in range(1, 21) for s in range(r, 21)] + tall:
+            expected = stepwise_jordan_type(r, s)
+            for args in [(r, s), (s, r)]:
+                jordan_tensor.cache_clear()
+                assert jordan_tensor(*args) == expected, args
 
-    @pytest.mark.parametrize("r, s, calls", [(12, 12, 66), (8, 200, 28)])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 60))
+    def test_matches_the_stepwise_images_on_random_pairs(self, r, s):
+        jordan_tensor.cache_clear()
+        assert jordan_tensor(r, s) == stepwise_jordan_type(r, s)
+
+    @pytest.mark.parametrize("r, s, calls", [(12, 12, 66), (8, 200, 28), (30, 30, 435)])
     def test_full_degrees_are_not_reduced(self, monkeypatch, r, s, calls):
-        # Reducing the popped vector in every degree, full or not, makes 187
-        # and 1,421 calls.
+        # Reducing the popped vector in every degree, full or not, makes 187,
+        # 1,421 and 1,276 calls.
         reduce, count = ellbundle.jordan._reduce, []
 
         def counting(basis, vec):
@@ -291,6 +304,18 @@ class TestJordanTensor:
         jordan_tensor.cache_clear()
         jordan_tensor(r, s)
         assert len(count) == calls
+
+    def test_a_tall_pair_keeps_rank_lists_only_below_the_short_side(self):
+        # Only the diagonals e < r keep their rank lists; keeping the whole
+        # list of each of the 3,901 diagonals of (2, 3900) traces about 61 MB.
+        jordan_tensor.cache_clear()
+        tracemalloc.start()
+        try:
+            assert jordan_tensor(2, 3900) == (3901, 3899)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestProductObject:
@@ -368,6 +393,37 @@ class TestProductObject:
     def test_constructor_rejects_non_int_values(self, modulus, components):
         with pytest.raises(ValueError):
             ProductObject(modulus, components)
+
+
+@st.composite
+def cyclic_objects(draw, modulus):
+    """A bundle object of summands E_r (x) L[c/m, 0] and its (c mod m, r) counts;
+    the zero object included."""
+    items = draw(st.lists(st.tuples(st.integers(0, 2 * modulus), st.integers(1, 5), st.integers(1, 3)), max_size=4))
+    counts = Counter()
+    for char, rank, mult in items:
+        counts[(char % modulus, rank)] += mult
+    obj = BundleObject.of([(Indecomposable(rank, line_class(Fraction(char, modulus))), mult)
+                           for char, rank, mult in items])
+    return obj, counts
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), cyclic_objects(m), cyclic_objects(m))))
+def test_oracle_values_equal_those_built_from_their_counts(drawn):
+    # phi_transport and product_tensor build their values without the
+    # constructor's checks; the checked ProductObject.of of the same counts
+    # must give the same value.
+    m, (a, a_counts), (b, b_counts) = drawn
+    pa, pb = phi_transport(a, m), phi_transport(b, m)
+    assert pa == ProductObject.of(m, a_counts) and pb == ProductObject.of(m, b_counts)
+    counts = Counter()
+    for (ca, ra), ma in a_counts.items():
+        for (cb, rb), mb in b_counts.items():
+            for part in jordan_tensor(ra, rb):
+                counts[((ca + cb) % m, part)] += ma * mb
+    product = product_tensor(pa, pb)
+    assert product == ProductObject.of(m, counts)
+    assert ProductObject(m, product.components) == product
 
 
 class TestPhiTransport:
